@@ -11,6 +11,7 @@ from .criteria import (
     mu_from_lambda,
     optimal_constant_prediction,
     risk_reduction,
+    split_scores,
     twoing_score,
 )
 from .dataeng import (
@@ -22,6 +23,7 @@ from .dataeng import (
     apply_label_map,
     evaluate,
     load_csv,
+    load_csv_features,
     load_libsvm,
     train_test_split,
     tune_lambda,

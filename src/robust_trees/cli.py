@@ -3,9 +3,9 @@
 Subcommands: train, predict, noise, tune, bench, verify.  On success each
 command prints exactly one JSON status line to stdout (tables and progress
 go to stderr).  Exit codes: 0 success, 1 data or check failure, 2 bad flags.
-All commands are deterministic given their --seed; worker parallelism is
-capped by the ROBUST_TREES_THREADS environment variable (0 = auto) and never
-affects results.
+All commands are deterministic given their --seed.  ``bench`` evaluates grid
+cells in parallel, on as many threads as the ROBUST_TREES_THREADS environment
+variable allows (0 = auto); the thread count never affects results.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataeng, forest as forest_mod, noise as noise_mod, tree as tree_mod
-from .criteria import CriterionSpec
-from .dataeng import DataFormatError, Dataset, ModelConfig
+from .criteria import KINDS, CriterionSpec
+from .dataeng import Dataset, ModelConfig
 from .verify import SUITES, run_suite
-
-CRITERION_CHOICES = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 
 
 def _status(payload: dict) -> None:
@@ -93,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit a model and write it as JSON")
     _add_data_flags(p_train)
-    p_train.add_argument("--criterion", required=True, choices=CRITERION_CHOICES)
+    p_train.add_argument("--criterion", required=True, choices=KINDS)
     p_train.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="NE robustness parameter in [0, 1]")
     p_train.add_argument("--q", type=float, default=None, help="GCE exponent, q >= 0")
@@ -178,14 +176,7 @@ def cmd_predict(parser, args) -> int:
     if args.no_labels:
         if args.format != "csv":
             parser.error("--no-labels applies to csv input only")
-        import csv as _csv
-
-        with open(args.data, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in _csv.reader(fh) if r]
-        if not rows:
-            raise DataFormatError(f"{args.data}: empty file")
-        body = rows[1:] if args.no_header is False else rows
-        X = np.asarray([[float(v) for v in row] for row in body], dtype=np.float64)
+        X = dataeng.load_csv_features(args.data, header=not args.no_header)
         y = None
     else:
         ds = _load_dataset(args)

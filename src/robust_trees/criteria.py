@@ -20,8 +20,8 @@ limiting criterion: splits are ranked by the sqrt-Gini term alone, since the
 raw formula would collapse to zero everywhere.
 
 ``twoing`` is also accepted as a criterion kind.  It is not loss-derived and
-has no node impurity; the tree learner scores splits with
-:func:`twoing_score` instead of risk reduction.
+has no node impurity; its splits are ranked by the twoing score instead of
+risk reduction.  :func:`split_scores` holds every split-score formula.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ class CriterionSpec:
         if self.kind in _CONSERVATIVE:
             return True
         return self.kind == "gce" and self.q >= 1.0
+
+    @property
+    def halting_slack(self) -> float:
+        """Best split score at or below which growth halts: conservative scores
+        come from integer counts and are exact; others allow 1e-12 of noise."""
+        return 0.0 if self.is_conservative else 1e-12
 
     def conservative_constant(self) -> float:
         """The C in C * (1 - ||p||_inf) for conservative criteria."""
@@ -149,6 +155,11 @@ class WeightedImpurity:
     weight: float
 
 
+def _row_sums(counts: np.ndarray) -> np.ndarray:
+    """Exact totals of integer-valued counts, faster than a sum over the short last axis."""
+    return counts @ np.ones(counts.shape[-1], dtype=counts.dtype)
+
+
 def counts_impurity(spec: CriterionSpec, counts: np.ndarray) -> np.ndarray:
     """Unweighted impurity I(p) for each count vector in ``counts``.
 
@@ -157,7 +168,7 @@ def counts_impurity(spec: CriterionSpec, counts: np.ndarray) -> np.ndarray:
     thresholds of a feature in one call.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum(axis=-1)
+    total = _row_sums(counts)
     p = counts / total[..., None]
     kind = spec.kind
     if kind == "gini":
@@ -197,6 +208,33 @@ def impurity(spec: CriterionSpec, hist: ClassHistogram, dataset_size: int) -> We
     return WeightedImpurity(value=value, weight=weight)
 
 
+def split_scores(spec: CriterionSpec, parent, left, dataset_size: int) -> np.ndarray:
+    """Scores of splitting count array ``parent`` into ``left`` and ``parent - left``.
+
+    The one split-score formula, used by the tree learner, the oracle,
+    :func:`risk_reduction` and :func:`twoing_score`.  ``left`` stacks count
+    vectors (classes on the last axis) against which ``parent`` broadcasts;
+    both children must be nonempty.  With W = size / dataset_size, twoing
+    scores (W_L W_R / 4) (sum_k |p_L(k) - p_R(k)|)^2, conservative criteria
+    C (max L + max R - max P) / dataset_size (exactly 0 when nothing is
+    gained), and all others the risk reduction W_P I(P) - (W_L I(L) + W_R I(R)).
+    """
+    right = parent - left
+    if spec.is_conservative:
+        gain = left.max(axis=-1) + right.max(axis=-1) - parent.max(axis=-1)
+        return spec.conservative_constant() * gain / dataset_size
+    n = parent.sum(axis=-1)
+    n_left = _row_sums(left)
+    n_right = n - n_left
+    if spec.kind == "twoing":
+        gap = np.abs(left / n_left[..., None] - right / n_right[..., None]).sum(axis=-1)
+        return (n_left / dataset_size) * (n_right / dataset_size) / 4.0 * np.square(gap)
+    return n / dataset_size * counts_impurity(spec, parent) - (
+        n_left / dataset_size * counts_impurity(spec, left)
+        + n_right / dataset_size * counts_impurity(spec, right)
+    )
+
+
 def risk_reduction(
     spec: CriterionSpec,
     parent: ClassHistogram,
@@ -214,14 +252,9 @@ def risk_reduction(
         raise PartitionError("left + right counts must equal parent counts")
     if left.total == 0 or right.total == 0:
         raise EmptyHistogramError("risk reduction needs nonempty children")
-    if spec.is_conservative:
-        gain = int(left.counts.max()) + int(right.counts.max()) - int(parent.counts.max())
-        return spec.conservative_constant() * gain / dataset_size
-    return (
-        impurity(spec, parent, dataset_size).value
-        - impurity(spec, left, dataset_size).value
-        - impurity(spec, right, dataset_size).value
-    )
+    if spec.kind == "twoing":
+        raise ValueError("twoing defines a split score, not a risk reduction")
+    return float(split_scores(spec, parent.counts, left.counts, dataset_size))
 
 
 def twoing_score(
@@ -235,14 +268,9 @@ def twoing_score(
     ``twoing``; zero exactly when both children carry the same class
     distribution.  Accepts stacked count matrices for vectorized use.
     """
-    lc = left.counts if isinstance(left, ClassHistogram) else np.asarray(left, dtype=np.float64)
-    rc = right.counts if isinstance(right, ClassHistogram) else np.asarray(right, dtype=np.float64)
-    lc = np.asarray(lc, dtype=np.float64)
-    rc = np.asarray(rc, dtype=np.float64)
-    lt = lc.sum(axis=-1)
-    rt = rc.sum(axis=-1)
-    gap = np.abs(lc / lt[..., None] - rc / rt[..., None]).sum(axis=-1)
-    score = (lt / dataset_size) * (rt / dataset_size) / 4.0 * np.square(gap)
+    lc = np.asarray(left.counts if isinstance(left, ClassHistogram) else left)
+    rc = np.asarray(right.counts if isinstance(right, ClassHistogram) else right)
+    score = split_scores(CriterionSpec("twoing"), lc + rc, lc, dataset_size)
     return float(score) if np.ndim(score) == 0 else score
 
 

@@ -89,52 +89,58 @@ def load_csv(path, label_column="label", header: bool = True) -> Dataset:
     0-based column index otherwise (an integer is accepted either way).
     All non-label columns are parsed as float features.
     """
-    rows: list[list[str]] = []
+    features, raw_labels = _parse_csv(path, label_column, header)
+    labels, class_names = _index_labels(raw_labels)
+    return Dataset(features, labels, class_names)
+
+
+def load_csv_features(path, header: bool = True) -> np.ndarray:
+    """Load a CSV of feature columns only, checked as :func:`load_csv` checks them."""
+    return _parse_csv(path, None, header)[0]
+
+
+def _parse_csv(path, label_column, header: bool) -> tuple[np.ndarray, list[str]]:
+    """Finite float features and raw labels of a CSV file (no labels if
+    ``label_column`` is None); malformed rows raise naming ``path:line``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            rows.append(row)
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    offset = 0
-    if header:
-        columns = rows[0]
-        offset = 1
-        if isinstance(label_column, int):
-            label_idx = label_column
-        else:
+    offset = 1 if header else 0
+    label_idx = label_column
+    if label_column is not None and not isinstance(label_column, int):
+        if header:
             try:
-                label_idx = columns.index(str(label_column))
+                label_idx = rows[0].index(str(label_column))
             except ValueError:
                 raise DataFormatError(
                     f"{path}: no column named {label_column!r} in header"
                 ) from None
-    else:
-        if not isinstance(label_column, int):
+        else:
             try:
                 label_idx = int(label_column)
             except (TypeError, ValueError):
                 raise DataFormatError(
                     f"{path}: without a header, label_column must be an integer index"
                 ) from None
-        else:
-            label_idx = label_column
     body = rows[offset:]
     if not body:
         raise DataFormatError(f"{path}: no data rows")
     width = len(body[0])
-    if not (-width <= label_idx < width):
-        raise DataFormatError(f"{path}: label column {label_idx} out of range")
-    label_idx %= width
+    if label_idx is not None:
+        if not (-width <= label_idx < width):
+            raise DataFormatError(f"{path}: label column {label_idx} out of range")
+        label_idx %= width
     raw_labels: list[str] = []
-    features = np.empty((len(body), width - 1), dtype=np.float64)
+    features = np.empty((len(body), width - (label_idx is not None)), dtype=np.float64)
     for i, row in enumerate(body):
         lineno = i + offset + 1
         if len(row) != width:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {width} columns, found {len(row)}"
             )
-        raw_labels.append(row[label_idx])
+        if label_idx is not None:
+            raw_labels.append(row[label_idx])
         j = 0
         for c, tok in enumerate(row):
             if c == label_idx:
@@ -149,8 +155,7 @@ def load_csv(path, label_column="label", header: bool = True) -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: non-finite feature value {tok!r}")
             features[i, j] = value
             j += 1
-    labels, class_names = _index_labels(raw_labels)
-    return Dataset(features, labels, class_names)
+    return features, raw_labels
 
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
@@ -276,7 +281,7 @@ def _fit_model(model: ModelConfig, spec: CriterionSpec, X, y, n_classes: int, se
         return fit(X, y, tp, n_classes=n_classes)
     fp = ForestParams(tree_params=tp, n_trees=model.n_trees,
                       bootstrap=model.bootstrap, rng_seed=seed)
-    return fit_forest(X, y, fp)
+    return fit_forest(X, y, fp, n_classes=n_classes)
 
 
 def _model_predictions(fitted, X) -> np.ndarray:

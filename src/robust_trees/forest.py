@@ -3,23 +3,22 @@
 Each tree trains on a bootstrap resample (optional) with per-split feature
 subsampling, defaulting to ceil(sqrt(d)) features per split and 100 trees.
 Every tree draws from its own generator, spawned deterministically from the
-forest seed and the tree index, so training is reproducible and independent
-of how many worker threads run it.  Prediction averages the leaf
-distributions over all trees and takes the argmax (lowest index on ties).
+forest seed and the tree index, so training is reproducible.  Trees are fit
+one after another; the experiment grid runs whole cells in parallel.
+Prediction averages the leaf distributions over all trees and takes the
+argmax (lowest index on ties).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .criteria import CriterionSpec
-from .parallel import worker_count
-from .tree import Tree, TreeParams, fit, predict_batch, tree_from_dict, tree_to_dict
+from .tree import Tree, TreeParams, fit, predict_batch, tree_from_dict, tree_stats, tree_to_dict
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,19 @@ class Forest:
     trees: list[Tree] = field(default_factory=list)
 
 
-def fit_forest(features, labels, params: ForestParams) -> Forest:
-    """Train ``params.n_trees`` trees; deterministic for a fixed seed."""
+def fit_forest(features, labels, params: ForestParams, n_classes: int | None = None) -> Forest:
+    """Train ``params.n_trees`` trees; deterministic for a fixed seed.
+
+    ``n_classes`` widens the label space beyond max(labels) + 1, as in ``fit``.
+    """
     X = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("features must be a nonempty n x d matrix")
     n, d = X.shape
-    k = max(2, int(y.max()) + 1)
+    k = max(2, int(y.max()) + 1) if n_classes is None else int(n_classes)
+    if y.max() >= k:
+        raise ValueError("labels out of range for n_classes")
     tp = params.tree_params
     if tp.feature_subsample is None:
         tp = replace(tp, feature_subsample=min(d, math.ceil(math.sqrt(d))))
@@ -63,13 +67,7 @@ def fit_forest(features, labels, params: ForestParams) -> Forest:
             Xi, yi = X, y
         return fit(Xi, yi, tp, dataset_size=n, n_classes=k, rng=rng)
 
-    workers = min(worker_count(), params.n_trees)
-    if workers <= 1:
-        trees = [build(i) for i in range(params.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(build, range(params.n_trees)))
-    return Forest(params=params, n_classes=k, trees=trees)
+    return Forest(params=params, n_classes=k, trees=[build(i) for i in range(params.n_trees)])
 
 
 def predict_forest(forest: Forest, x) -> tuple[int, np.ndarray]:
@@ -91,8 +89,6 @@ def predict_forest_batch(forest: Forest, features) -> tuple[np.ndarray, np.ndarr
 
 def forest_stats(forest: Forest) -> dict:
     """Totals across trees plus the deepest tree's depth."""
-    from .tree import tree_stats
-
     stats = [tree_stats(t) for t in forest.trees]
     return {
         "node_count": sum(s["node_count"] for s in stats),

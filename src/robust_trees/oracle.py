@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .criteria import ClassHistogram, CriterionSpec, risk_reduction, twoing_score
+from .criteria import ClassHistogram, CriterionSpec, split_scores
 from .tree import SplitRule
 from .errors import EmptyHistogramError
 
@@ -244,9 +244,10 @@ def exhaustive_early_stop_check(
 ) -> EarlyStopReport:
     """Enumerate every split at the root node and decide whether growth halts.
 
-    Growth halts when the best risk reduction (twoing score for the twoing
-    criterion) over all candidate splits is non-positive, or when there is no
-    candidate at all.  For conservative criteria the report also evaluates,
+    Growth halts when the best score over all candidate splits is
+    non-positive, or when there is no candidate at all.  The enumeration is
+    independent of the tree learner; the score is the one it runs,
+    :func:`split_scores` (risk reduction, or twoing score for twoing).  For conservative criteria the report also evaluates,
     directly on integer count vectors, whether every split keeps the parent's
     maximum class count equal to the sum of the children's maxima -- the
     stopping condition the tree learner must reproduce.
@@ -268,10 +269,7 @@ def exhaustive_early_stop_check(
         mask = X[:, f] <= thr
         left = ClassHistogram.from_labels(y[mask], n_classes)
         right = ClassHistogram.from_labels(y[~mask], n_classes)
-        if criterion.kind == "twoing":
-            value = twoing_score(left, right, dataset_size)
-        else:
-            value = risk_reduction(criterion, parent, left, right, dataset_size)
+        value = float(split_scores(criterion, parent.counts, left.counts, dataset_size))
         if value > best_value:
             best_value = value
             witness = SplitRule(f, thr)

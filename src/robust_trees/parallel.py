@@ -1,4 +1,4 @@
-"""Worker-pool sizing shared by forest training and experiment evaluation."""
+"""Worker-pool sizing for the experiment grid, which evaluates cells in parallel."""
 
 from __future__ import annotations
 

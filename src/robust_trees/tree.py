@@ -1,11 +1,13 @@
 """Greedy recursive-partition tree learner.
 
-Split search is exhaustive over (feature, midpoint-threshold) candidates,
-maximizing risk reduction (twoing score for the twoing criterion).  A node
-stops growing when it is pure, the depth or leaf-size limits bind, or the
-best achievable reduction is non-positive.  For conservative criteria the
-reduction is integer arithmetic on class counts, so the halting comparison
-is exact; other criteria use a 1e-12 slack against float noise.
+Split search is exhaustive over (feature, midpoint-threshold) candidates at
+real boundaries between distinct feature values.  Every candidate is scored
+by :func:`robust_trees.criteria.split_scores`, the one split-score formula:
+risk reduction, or the twoing score for the twoing criterion.  A node stops
+growing when it is pure, the depth or leaf-size limits bind, or the best
+score does not exceed the criterion's halting slack: exactly zero for
+conservative criteria, whose scores come from integer class counts, and
+1e-12 against float noise otherwise.
 
 Rows with a feature value equal to a split threshold route left.
 """
@@ -17,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import ClassHistogram, CriterionSpec, counts_impurity
-
-# Tolerance on "best risk reduction <= 0" for criteria evaluated in floating
-# point; conservative criteria compare exactly at zero.
-_RR_SLACK = 1e-12
+from .criteria import ClassHistogram, CriterionSpec, split_scores
 
 
 @dataclass(frozen=True)
@@ -81,56 +79,37 @@ def _best_split(
     Xn: np.ndarray,
     yn: np.ndarray,
     parent_counts: np.ndarray,
-    parent_risk: float,
     dataset_size: int,
     min_samples_leaf: int,
 ):
     """Best (score, local feature index, threshold) at a node, or None.
 
-    All candidate (feature, boundary) pairs are scored in one vectorized
-    pass: one column-wise sort of the node's submatrix, one cumulative
-    class-count sweep, one score matrix.  Per feature that is exactly one
-    sort plus one linear histogram sweep.  Ties take the lowest feature
+    One column-wise sort of the node's submatrix marks the valid boundaries
+    (between distinct values, leaving ``min_samples_leaf`` rows per side);
+    one cumulative class-count sweep, gathered at those boundaries only,
+    feeds one :func:`split_scores` call.  Candidates are listed feature-major
+    with ascending thresholds, so the first argmax takes the lowest feature
     index, then the lowest threshold.
     """
     n, d = Xn.shape
     k = parent_counts.shape[0]
-    order = np.argsort(Xn, axis=0)
-    vs = np.take_along_axis(Xn, order, axis=0)
-    ys = yn[order]  # (n, d)
-
-    left = (ys[:, :, None] == np.arange(k)).cumsum(axis=0)[:-1]  # (n-1, d, k)
-    valid = vs[1:] != vs[:-1]  # boundary between distinct sorted values
-    sizes = np.arange(1, n, dtype=np.int64)[:, None]
+    order = np.argsort(Xn.T, axis=1)  # one row per feature
+    vs = np.take_along_axis(Xn.T, order, axis=1)
+    # valid[f, i]: a threshold between sorted rows i and i + 1 of feature f
+    valid = np.zeros((d, n), dtype=bool)
+    np.not_equal(vs[:, 1:], vs[:, :-1], out=valid[:, :-1])
     if min_samples_leaf > 1:
+        sizes = np.arange(1, n + 1)
         valid &= (sizes >= min_samples_leaf) & (n - sizes >= min_samples_leaf)
-    if not valid.any():
+    at = np.flatnonzero(valid)
+    if at.size == 0:
         return None
-    right = parent_counts[None, None, :] - left
-
-    if spec.kind == "twoing":
-        wl = sizes / dataset_size
-        wr = (n - sizes) / dataset_size
-        gap = np.abs(left / sizes[:, :, None] - right / (n - sizes)[:, :, None]).sum(axis=2)
-        scores = wl * wr / 4.0 * np.square(gap)
-    elif spec.is_conservative:
-        # Integer risk reduction, up to the positive factor C / dataset_size.
-        scores = (left.max(axis=2) + right.max(axis=2) - parent_counts.max()).astype(np.float64)
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            child = (
-                sizes / dataset_size * counts_impurity(spec, left)
-                + (n - sizes) / dataset_size * counts_impurity(spec, right)
-            )
-        scores = parent_risk - child
-    scores = np.where(valid, scores, -np.inf)
-
-    # Feature-major argmax: ties resolve to the lower feature, then the
-    # lower threshold (positions ascend with the threshold within a column).
-    flat = int(np.argmax(scores.T))
-    feature, pos = divmod(flat, n - 1)
-    thr = (vs[pos, feature] + vs[pos + 1, feature]) / 2.0
-    return float(scores[pos, feature]), feature, thr
+    onehot = yn[order][:, :, None] == np.arange(k)
+    left = np.take(onehot.cumsum(axis=1).reshape(d * n, k), at, axis=0)
+    scores = split_scores(spec, parent_counts, left, dataset_size)
+    best = int(np.argmax(scores))
+    f, i = divmod(int(at[best]), n)
+    return float(scores[best]), f, (vs[f, i] + vs[f, i + 1]) / 2.0
 
 
 def fit(
@@ -171,7 +150,6 @@ def fit(
         raise ValueError("feature_subsample cannot exceed the feature count")
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
-    halt_at = 0.0 if spec.is_conservative else _RR_SLACK
 
     tree = Tree(criterion=spec, n_classes=k, nodes=[])
     # stack entries: (row indices, depth, parent node id, is_right_child)
@@ -193,15 +171,9 @@ def fit(
             else:
                 feats = None
                 Xn = X[idx]
-            if spec.kind == "twoing" or spec.is_conservative:
-                parent_risk = 0.0  # not needed; scores are self-contained
-            else:
-                parent_risk = idx.shape[0] / dataset_size * float(counts_impurity(spec, counts))
-            found = _best_split(
-                spec, Xn, y[idx], counts, parent_risk,
-                dataset_size, params.min_samples_leaf,
-            )
-            if found is not None and found[0] > halt_at:
+            found = _best_split(spec, Xn, y[idx], counts, dataset_size,
+                                params.min_samples_leaf)
+            if found is not None and found[0] > spec.halting_slack:
                 local = found[1]
                 feature = int(feats[local]) if feats is not None else local
                 node = TreeNode(feature=feature, threshold=found[2])

@@ -101,6 +101,42 @@ class TestPredict:
         assert lines[0] == "prediction,p0,p1"
         assert len(lines) == 161
 
+    @pytest.fixture()
+    def model(self, blob_csv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        main(["train", "--data", str(blob_csv), "--format", "csv",
+              "--criterion", "gini", "--out", str(path)])
+        capsys.readouterr()
+        return path
+
+    def test_no_labels_predicts_feature_only_csv(self, model, tmp_path, capsys):
+        X, y = gaussian_blobs(80, [[-3, 0], [3, 0]], scale=0.6, seed=1)
+        data = tmp_path / "features.csv"
+        data.write_text("f0,f1\n" + "".join(f"{a!r},{b!r}\n" for a, b in X.tolist()))
+        out_csv = tmp_path / "preds.csv"
+        code, status = run_cli(
+            capsys, "predict", "--model", str(model), "--data", str(data),
+            "--format", "csv", "--no-labels", "--out", str(out_csv),
+        )
+        assert code == 0
+        assert status["n"] == 160 and "accuracy" not in status
+        rows = out_csv.read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == y.tolist()
+
+    @pytest.mark.parametrize("row, message", [
+        ("nan,0", "non-finite feature value 'nan'"),
+        ("inf,1", "non-finite feature value 'inf'"),
+        ("0.5", "expected 2 columns, found 1"),
+    ])
+    def test_no_labels_bad_row_exits_1(self, model, tmp_path, capsys, row, message):
+        data = tmp_path / "features.csv"
+        data.write_text(f"f0,f1\n0.5,0.5\n{row}\n")
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--format", "csv", "--no-labels"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {data}:3: {message}\n"
+
 
 class TestNoiseCommand:
     def test_matrix_and_corrupted_output(self, blob_csv, tmp_path, capsys):

@@ -17,6 +17,7 @@ from robust_trees.criteria import (
     mu_from_lambda,
     optimal_constant_prediction,
     risk_reduction,
+    split_scores,
     twoing_score,
 )
 from robust_trees.errors import EmptyHistogramError, PartitionError
@@ -131,11 +132,18 @@ class TestRiskReduction:
         right = parent - left
         if left.sum() == 0 or right.sum() == 0:
             return
+        n = int(parent.sum())
         rr = risk_reduction(
-            spec, ClassHistogram(parent), ClassHistogram(left), ClassHistogram(right),
-            int(parent.sum()),
+            spec, ClassHistogram(parent), ClassHistogram(left), ClassHistogram(right), n,
         )
         assert rr >= -1e-12
+        # Independent route: the weighted impurities, one node at a time.  Both
+        # orders of the children are the same split.
+        direct = (impurity(spec, ClassHistogram(parent), n).value
+                  - impurity(spec, ClassHistogram(left), n).value
+                  - impurity(spec, ClassHistogram(right), n).value)
+        scores = split_scores(spec, parent, np.stack([left, right]), n)
+        assert np.allclose(scores, direct, rtol=0.0, atol=1e-12)
 
 
 class TestTwoing:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robust_trees.criteria import CriterionSpec
 from robust_trees.dataeng import (
     CriterionSetting,
     DataFormatError,
@@ -17,6 +18,7 @@ from robust_trees.dataeng import (
     train_test_split,
     tune_lambda,
     write_records_csv,
+    _fit_model,
 )
 from robust_trees.noise import NoiseSpec
 from synth import gaussian_blobs, separable_categorical, write_csv, write_libsvm
@@ -184,6 +186,15 @@ class TestTuneLambda:
         ds = Dataset(np.zeros((10, 1)), np.array([0, 1] * 5), ("a", "b"))
         with pytest.raises(ValueError):
             tune_lambda(ds, [], ModelConfig("tree"), 0)
+
+
+class TestFitModel:
+    @pytest.mark.parametrize("model", [ModelConfig("tree"), ModelConfig("forest", n_trees=3)])
+    def test_label_space_follows_n_classes(self, model):
+        # a training shard without the top class keeps the dataset's K
+        X, y = gaussian_blobs(20, [[-3, 0], [3, 0]], seed=0)
+        fitted = _fit_model(model, CriterionSpec("gini"), X, y, 3, 0)
+        assert fitted.n_classes == 3
 
 
 def _write_blob_csv(tmp_path, n_per=150, seed=0):

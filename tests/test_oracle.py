@@ -12,13 +12,14 @@ from robust_trees.criteria import (
     mu_from_lambda,
     optimal_constant_prediction,
 )
-from robust_trees.tree import SplitRule
+from robust_trees.tree import SplitRule, TreeParams, fit
 from robust_trees.oracle import (
     GridSpec,
     brute_force_impurity,
     brute_force_minimizer,
     exhaustive_early_stop_check,
 )
+from robust_trees.verify import early_stop_instances
 
 SIMPLEX_PAIRS = [
     ("mse", CriterionSpec("gini"), {}),
@@ -145,6 +146,25 @@ class TestEarlyStopOracle:
         y = np.array([0, 1, 0, 1])
         report = exhaustive_early_stop_check(X, y, CriterionSpec("entropy"))
         assert report.halts and report.witness is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CriterionSpec("gini"), CriterionSpec("entropy"), CriterionSpec("misclassification"),
+         CriterionSpec("mae"), CriterionSpec("gce", q=0.5), CriterionSpec("gce", q=2.0),
+         CriterionSpec("ne", lam=0.0), CriterionSpec("ne", lam=1.0), CriterionSpec("twoing")],
+        ids=lambda spec: spec.label(),
+    )
+    def test_tree_root_split_is_the_oracle_witness(self, spec):
+        # Only where the tree splits: its halting slack and the oracle's
+        # strict "<= 0" may disagree on float noise.
+        for seed in range(4):
+            for i, (X, y) in enumerate(early_stop_instances(seed)):
+                tree = fit(X, y, TreeParams(spec))
+                if len(tree.nodes) == 1:
+                    continue
+                root = SplitRule(tree.nodes[0].feature, tree.nodes[0].threshold)
+                witness = exhaustive_early_stop_check(X, y, spec).witness
+                assert root == witness, f"seed {seed}, instance {i}"
 
     def test_refuses_large_instances(self):
         X = np.zeros((501, 1))
