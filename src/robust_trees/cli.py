@@ -186,13 +186,9 @@ def cmd_predict(parser, args) -> int:
     else:
         classes, dists = forest_mod.predict_forest_batch(model, X)
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["prediction"] + [f"p{k}" for k in range(dists.shape[1])])
-            for c, dist in zip(classes, dists):
-                writer.writerow([int(c)] + [repr(float(v)) for v in dist])
+        dataeng.write_csv(args.out, ["prediction"] + [f"p{k}" for k in range(dists.shape[1])],
+                          ([int(c)] + [repr(float(v)) for v in dist]
+                           for c, dist in zip(classes, dists)))
     payload = {"command": "predict", "n": int(X.shape[0])}
     if y is not None:
         payload["accuracy"] = float((classes == y).mean())
@@ -213,13 +209,9 @@ def cmd_noise(parser, args) -> int:
     if args.matrix_out:
         matrix.to_csv(args.matrix_out)
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow([f"f{j}" for j in range(ds.n_features)] + ["label"])
-            for row, lab in zip(ds.features, noisy):
-                writer.writerow([repr(float(v)) for v in row] + [ds.class_names[lab]])
+        dataeng.write_csv(args.out, [f"f{j}" for j in range(ds.n_features)] + ["label"],
+                          ([repr(float(v)) for v in row] + [ds.class_names[lab]]
+                           for row, lab in zip(ds.features, noisy)))
     payload = {
         "command": "noise", "kind": args.kind,
         "flip_fraction": float((noisy != ds.labels).mean()),

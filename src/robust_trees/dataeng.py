@@ -558,28 +558,24 @@ def aggregate(records: list[ResultRecord]) -> list[dict]:
     return out
 
 
+def write_csv(path, header: list, rows) -> None:
+    """Write a header row and then ``rows`` as CSV (the csv module's default dialect)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_records_csv(records: list[ResultRecord], path, timings: bool = False) -> None:
     """Write the results table; timings are zeroed unless requested so that
     reruns with the same seeds produce byte-identical files."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for rec in records:
-            row = rec.row()
-            if not timings:
-                row[-1] = "0.000"
-            writer.writerow(row)
+    rows = (rec.row() if timings else rec.row()[:-1] + ["0.000"] for rec in records)
+    write_csv(path, RESULTS_HEADER, rows)
 
 
 def write_summary_csv(summary: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for cell in summary:
-            writer.writerow(
-                [
-                    cell["dataset"], cell["criterion"], cell["noise"],
-                    cell["replications"], repr(cell["mean_accuracy"]),
-                    repr(cell["two_sd"]),
-                ]
-            )
+    write_csv(path, SUMMARY_HEADER, (
+        [cell["dataset"], cell["criterion"], cell["noise"], cell["replications"],
+         repr(cell["mean_accuracy"]), repr(cell["two_sd"])]
+        for cell in summary
+    ))

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import CriterionSpec
-from .tree import Tree, TreeParams, fit, predict_batch, tree_from_dict, tree_stats, tree_to_dict
+from .tree import (Tree, TreeParams, fit, predict, predict_batch, tree_from_dict, tree_stats,
+                   tree_to_dict)
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,19 @@ def fit_forest(features, labels, params: ForestParams, n_classes: int | None = N
 
 
 def predict_forest(forest: Forest, x) -> tuple[int, np.ndarray]:
-    """Average the trees' leaf distributions for one feature vector."""
-    classes, dists = predict_forest_batch(forest, np.asarray(x, dtype=np.float64)[None, :])
-    return int(classes[0]), dists[0]
+    """Average the trees' leaf distributions for one feature vector.
+
+    The sum runs in the order of :func:`predict_forest_batch`, so the answer
+    equals that function's row for ``x`` bit for bit.
+    """
+    if not forest.trees:
+        raise ValueError("cannot predict with an empty forest")
+    x = np.asarray(x, dtype=np.float64)
+    acc = np.zeros(forest.n_classes, dtype=np.float64)
+    for tree in forest.trees:
+        acc += predict(tree, x)[1]
+    acc /= len(forest.trees)
+    return int(np.argmax(acc)), acc
 
 
 def predict_forest_batch(forest: Forest, features) -> tuple[np.ndarray, np.ndarray]:
@@ -116,21 +127,34 @@ def forest_to_dict(forest: Forest) -> dict:
 
 
 def forest_from_dict(data: dict) -> Forest:
-    p = data["params"]
-    tp = TreeParams(
-        criterion=CriterionSpec.from_dict(p["criterion"]),
-        max_depth=p.get("max_depth"),
-        min_samples_leaf=p.get("min_samples_leaf", 1),
-        feature_subsample=p.get("feature_subsample"),
-    )
-    params = ForestParams(
-        tree_params=tp,
-        n_trees=p["n_trees"],
-        bootstrap=p["bootstrap"],
-        rng_seed=p.get("rng_seed", 0),
-    )
-    return Forest(params=params, n_classes=int(data["K"]),
-                  trees=[tree_from_dict(t) for t in data["trees"]])
+    """Build a forest from its JSON form; a malformed model raises ``ValueError``."""
+    try:
+        p = data["params"]
+        tp = TreeParams(
+            criterion=CriterionSpec.from_dict(p["criterion"]),
+            max_depth=p.get("max_depth"),
+            min_samples_leaf=p.get("min_samples_leaf", 1),
+            feature_subsample=p.get("feature_subsample"),
+        )
+        params = ForestParams(
+            tree_params=tp,
+            n_trees=p["n_trees"],
+            bootstrap=p["bootstrap"],
+            rng_seed=p.get("rng_seed", 0),
+        )
+        k, entries = int(data["K"]), data["trees"]
+    except KeyError as exc:
+        raise ValueError(f"forest model is missing key {exc}") from None
+    trees = []
+    for i, entry in enumerate(entries):
+        try:
+            tree = tree_from_dict(entry)
+            if tree.n_classes != k:
+                raise ValueError(f"K is {tree.n_classes}, the forest's K is {k}")
+        except ValueError as exc:
+            raise ValueError(f"tree {i}: {exc}") from None
+        trees.append(tree)
+    return Forest(params=params, n_classes=k, trees=trees)
 
 
 def save_forest(forest: Forest, path) -> None:

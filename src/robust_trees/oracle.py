@@ -244,10 +244,12 @@ def exhaustive_early_stop_check(
 ) -> EarlyStopReport:
     """Enumerate every split at the root node and decide whether growth halts.
 
-    Growth halts when the best score over all candidate splits is
-    non-positive, or when there is no candidate at all.  The enumeration is
-    independent of the tree learner; the score is the one it runs,
-    :func:`split_scores` (risk reduction, or twoing score for twoing).  For conservative criteria the report also evaluates,
+    Growth halts when the best score over all candidate splits does not
+    exceed the criterion's ``halting_slack`` (zero for conservative
+    criteria), or when there is no candidate at all: the tree learner's rule.
+    The enumeration is independent of the tree learner; the score is the one
+    it runs, :func:`split_scores` (risk reduction, or twoing score for
+    twoing).  For conservative criteria the report also evaluates,
     directly on integer count vectors, whether every split keeps the parent's
     maximum class count equal to the sum of the children's maxima -- the
     stopping condition the tree learner must reproduce.
@@ -279,4 +281,4 @@ def exhaustive_early_stop_check(
 
     if witness is None:
         return EarlyStopReport(True, None, 0.0, condition)
-    return EarlyStopReport(best_value <= 0.0, witness, best_value, condition)
+    return EarlyStopReport(best_value <= criterion.halting_slack, witness, best_value, condition)

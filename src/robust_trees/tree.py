@@ -10,6 +10,14 @@ conservative criteria, whose scores come from integer class counts, and
 1e-12 against float noise otherwise.
 
 Rows with a feature value equal to a split threshold route left.
+
+A fitted :class:`Tree` is five parallel arrays over its nodes: ``feature``
+(-1 at leaves), ``threshold``, ``left`` and ``right`` (-1 at leaves) and
+``counts`` (the training class counts at leaves, zero rows at splits).
+Nodes are numbered in depth-first preorder: the root is 0, a split's left
+subtree comes before its right one, and every child is numbered after its
+parent.  That last invariant, which ``tree_from_dict`` checks, bounds every
+walk from the root; batch prediction moves all rows down one depth per step.
 """
 
 from __future__ import annotations
@@ -45,33 +53,38 @@ class TreeParams:
             raise ValueError("feature_subsample must be >= 1 when set")
 
 
-@dataclass
-class TreeNode:
-    """Either an internal split (feature >= 0) or a leaf (feature == -1)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    counts: np.ndarray | None = None
-    distribution: np.ndarray | None = None
-    predicted_class: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
+@dataclass(eq=False)
 class Tree:
+    """A fitted tree as parallel arrays over its nodes, in depth-first preorder.
+
+    ``distribution``, ``predicted_class``, ``min_columns`` and the one-row
+    walk are derived from the arrays on construction and never serialized.
+    """
+
     criterion: CriterionSpec
     n_classes: int
-    nodes: list[TreeNode] = field(default_factory=list)
+    feature: np.ndarray  # int64, -1 at leaves
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int64, -1 at leaves
+    right: np.ndarray  # int64, -1 at leaves
+    counts: np.ndarray  # nodes x K int64: training counts at leaves, zeros at splits
+    distribution: np.ndarray = field(init=False, repr=False)
+    predicted_class: np.ndarray = field(init=False, repr=False)
+    min_columns: int = field(init=False, repr=False)
+    _walk: list = field(init=False, repr=False)
 
-
-def _leaf(counts: np.ndarray) -> TreeNode:
-    dist = counts / counts.sum()
-    return TreeNode(counts=counts, distribution=dist, predicted_class=int(np.argmax(dist)))
+    def __post_init__(self):
+        self.feature, self.left, self.right, self.counts = (
+            np.asarray(a, dtype=np.int64)
+            for a in (self.feature, self.left, self.right, self.counts))
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        leaf = self.feature < 0
+        self.distribution = np.zeros(self.counts.shape)
+        self.distribution[leaf] = self.counts[leaf] / self.counts[leaf].sum(axis=1, keepdims=True)
+        self.predicted_class = self.distribution.argmax(axis=1)
+        self.min_columns = int(self.feature.max()) + 1
+        self._walk = list(zip(self.feature.tolist(), self.threshold.tolist(),
+                              self.left.tolist(), self.right.tolist()))
 
 
 def _best_split(
@@ -151,13 +164,15 @@ def fit(
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
 
-    tree = Tree(criterion=spec, n_classes=k, nodes=[])
+    # one entry per node, appended in preorder: [feature, threshold, left, right, counts]
+    nodes: list[list] = []
+    no_counts = np.zeros(k, dtype=np.int64)
     # stack entries: (row indices, depth, parent node id, is_right_child)
     stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
     while stack:
         idx, depth, parent, is_right = stack.pop()
         counts = np.bincount(y[idx], minlength=k)
-        node: TreeNode | None = None
+        split: tuple[int, float] | None = None
 
         splittable = (
             np.count_nonzero(counts) > 1
@@ -175,106 +190,122 @@ def fit(
                                 params.min_samples_leaf)
             if found is not None and found[0] > spec.halting_slack:
                 local = found[1]
-                feature = int(feats[local]) if feats is not None else local
-                node = TreeNode(feature=feature, threshold=found[2])
+                split = (int(feats[local]) if feats is not None else local, float(found[2]))
 
-        nid = len(tree.nodes)
-        if node is None:
-            tree.nodes.append(_leaf(counts))
+        nid = len(nodes)
+        if parent >= 0:
+            nodes[parent][3 if is_right else 2] = nid
+        if split is None:
+            nodes.append([-1, 0.0, -1, -1, counts])
         else:
-            tree.nodes.append(node)
-            mask = X[idx, node.feature] <= node.threshold
+            nodes.append([*split, -1, -1, no_counts])
+            mask = X[idx, split[0]] <= split[1]
             # right pushed first so the left child is grown (and numbered) first
             stack.append((idx[~mask], depth + 1, nid, True))
             stack.append((idx[mask], depth + 1, nid, False))
-        if parent >= 0:
-            if is_right:
-                tree.nodes[parent].right = nid
-            else:
-                tree.nodes[parent].left = nid
-    return tree
+
+    return Tree(spec, k, *zip(*nodes))
 
 
 def predict(tree: Tree, x) -> tuple[int, np.ndarray]:
     """Route one feature vector to a leaf; returns (class, distribution)."""
     x = np.asarray(x, dtype=np.float64)
-    node = tree.nodes[0]
-    while not node.is_leaf:
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return node.predicted_class, node.distribution
+    walk = tree._walk
+    nid = 0
+    feature, threshold, left, right = walk[0]
+    while feature >= 0:
+        nid = left if x[feature] <= threshold else right
+        feature, threshold, left, right = walk[nid]
+    return int(tree.predicted_class[nid]), tree.distribution[nid]
 
 
 def predict_batch(tree: Tree, features) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized routing of an n x d matrix; returns (classes, distributions)."""
+    """Route an n x d matrix one depth per step; returns (classes, distributions)."""
     X = np.asarray(features, dtype=np.float64)
-    n = X.shape[0]
-    classes = np.empty(n, dtype=np.int64)
-    dists = np.empty((n, tree.n_classes), dtype=np.float64)
-    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
-    while stack:
-        nid, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            classes[rows] = node.predicted_class
-            dists[rows] = node.distribution
-        else:
-            mask = X[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
-    return classes, dists
+    if X.ndim != 2 or X.shape[1] < tree.min_columns:
+        raise ValueError(f"the model splits on feature {tree.min_columns - 1}, so it needs"
+                         f" an n x d input with d >= {tree.min_columns}; got shape {X.shape}")
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(tree.feature[node] >= 0)
+    while rows.size:
+        at = node[rows]
+        goes_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        at = np.where(goes_left, tree.left[at], tree.right[at])
+        node[rows] = at
+        rows = rows[tree.feature[at] >= 0]
+    return tree.predicted_class[node], tree.distribution[node]
 
 
 def tree_stats(tree: Tree) -> dict:
     """Structural counts: {node_count, leaf_count, max_depth}."""
-    depths = np.zeros(len(tree.nodes), dtype=np.int64)
-    leaves = 0
-    max_depth = 0
-    for nid, node in enumerate(tree.nodes):
-        if node.is_leaf:
-            leaves += 1
-            max_depth = max(max_depth, int(depths[nid]))
-        else:
-            depths[node.left] = depths[nid] + 1
-            depths[node.right] = depths[nid] + 1
-    return {"node_count": len(tree.nodes), "leaf_count": leaves, "max_depth": max_depth}
+    splits = tree.feature >= 0
+    level, depth = np.zeros(1, dtype=np.int64), 0
+    while (level := level[splits[level]]).size:  # the splits of one depth
+        level = np.concatenate([tree.left[level], tree.right[level]])
+        depth += 1
+    return {"node_count": splits.size, "leaf_count": int(np.count_nonzero(~splits)),
+            "max_depth": depth}
 
 
 def tree_to_dict(tree: Tree) -> dict:
     nodes = []
-    for node in tree.nodes:
-        if node.is_leaf:
-            nodes.append({"kind": "leaf", "counts": [int(c) for c in node.counts]})
+    for (feature, threshold, left, right), counts in zip(tree._walk, tree.counts.tolist()):
+        if feature < 0:
+            nodes.append({"kind": "leaf", "counts": counts})
         else:
-            nodes.append(
-                {
-                    "kind": "split",
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "left": node.left,
-                    "right": node.right,
-                }
-            )
+            nodes.append({"kind": "split", "feature": feature, "threshold": threshold,
+                          "left": left, "right": right})
     return {"criterion": tree.criterion.to_dict(), "K": tree.n_classes, "nodes": nodes}
 
 
 def tree_from_dict(data: dict) -> Tree:
-    spec = CriterionSpec.from_dict(data["criterion"])
-    tree = Tree(criterion=spec, n_classes=int(data["K"]), nodes=[])
-    for entry in data["nodes"]:
-        if entry["kind"] == "leaf":
-            tree.nodes.append(_leaf(np.asarray(entry["counts"], dtype=np.int64)))
-        else:
-            tree.nodes.append(
-                TreeNode(
-                    feature=int(entry["feature"]),
-                    threshold=float(entry["threshold"]),
-                    left=int(entry["left"]),
-                    right=int(entry["right"]),
-                )
-            )
-    return tree
+    """Build a tree from its JSON form, checking that it is a well-formed model.
+
+    Raises ``ValueError`` naming the first offending node: an unknown kind or
+    a missing key, a split whose feature is negative, whose threshold is not
+    finite or whose children are not numbered after it and inside the tree,
+    or leaf counts that are not K nonnegative entries with a positive total.
+    """
+    try:
+        spec = CriterionSpec.from_dict(data["criterion"])
+        k = int(data["K"])
+        entries = data["nodes"]
+    except KeyError as exc:
+        raise ValueError(f"tree model is missing key {exc}") from None
+    if not entries:
+        raise ValueError("tree model has no nodes")
+    no_counts = [0] * k
+    rows = []
+    for nid, entry in enumerate(entries):
+        try:
+            kind = entry["kind"]
+            if kind == "split":
+                rows.append((entry["feature"], entry["threshold"], entry["left"],
+                             entry["right"], no_counts, True))
+            elif kind == "leaf":
+                counts = entry["counts"]
+                if len(counts) != k:
+                    raise ValueError(f"node {nid}: counts has {len(counts)} entries, K is {k}")
+                rows.append((-1, 0.0, -1, -1, counts, False))
+            else:
+                raise ValueError(f"node {nid}: kind must be 'split' or 'leaf', got {kind!r}")
+        except KeyError as exc:
+            raise ValueError(f"node {nid}: missing key {exc}") from None
+    feature, threshold, left, right, counts, split = zip(*rows)
+    feature, left, right, counts = (np.array(a, dtype=np.int64)
+                                    for a in (feature, left, right, counts))
+    threshold, split = np.array(threshold, dtype=np.float64), np.array(split)
+    n, ids = len(rows), np.arange(len(rows))
+    bad = np.flatnonzero(split & ((feature < 0) | ~np.isfinite(threshold)
+                                  | (np.minimum(left, right) <= ids)
+                                  | (np.maximum(left, right) >= n)))
+    if bad.size:
+        raise ValueError(f"node {bad[0]}: a split needs feature >= 0, a finite threshold"
+                         f" and both children numbered after it and below {n}")
+    bad = np.flatnonzero(~split & ((counts < 0).any(axis=1) | (counts.sum(axis=1) <= 0)))
+    if bad.size:
+        raise ValueError(f"node {bad[0]}: leaf counts must be nonnegative with a positive total")
+    return Tree(spec, k, feature, threshold, left, right, counts)
 
 
 def save_tree(tree: Tree, path) -> None:
@@ -290,8 +321,4 @@ def load_tree(path) -> Tree:
 
 def root_histogram(tree: Tree) -> ClassHistogram:
     """Class histogram of the training rows, reassembled from the leaves."""
-    total = np.zeros(tree.n_classes, dtype=np.int64)
-    for node in tree.nodes:
-        if node.is_leaf:
-            total += node.counts
-    return ClassHistogram(total)
+    return ClassHistogram(tree.counts.sum(axis=0))

@@ -131,14 +131,14 @@ def early_stop_suite(seed: int = 0, count: int = 50,
     ent_disagree = 0
     for X, y in early_stop_instances(seed, count):
         report = exhaustive_early_stop_check(X, y, mis)
-        tree_halts = len(fit(X, y, TreeParams(mis)).nodes) == 1
+        tree_halts = len(fit(X, y, TreeParams(mis)).feature) == 1
         oracle_halts = report.halts if not inject_fault else not report.halts
         if tree_halts != oracle_halts:
             mis_disagree += 1
         if report.majority_condition != report.halts:
             condition_disagree += 1
         ent_report = exhaustive_early_stop_check(X, y, ent)
-        ent_tree_splits = len(fit(X, y, TreeParams(ent)).nodes) > 1
+        ent_tree_splits = len(fit(X, y, TreeParams(ent)).feature) > 1
         if ent_tree_splits != (not ent_report.halts):
             ent_disagree += 1
     return [

@@ -137,6 +137,30 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {data}:3: {message}\n"
 
+    def test_too_few_columns_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+            {"kind": "split", "feature": 1, "threshold": 0.0, "left": 1, "right": 2},
+            {"kind": "leaf", "counts": [1, 0]}, {"kind": "leaf", "counts": [0, 1]}]}))
+        data = tmp_path / "features.csv"
+        data.write_text("f0\n0.5\n")
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--format", "csv", "--no-labels"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: the model splits on feature 1")
+        assert captured.err.count("\n") == 1
+
+    def test_model_missing_key_exits_1(self, model, blob_csv, capsys):
+        data = json.loads(model.read_text())
+        del next(n for n in data["nodes"] if n["kind"] == "split")["threshold"]
+        model.write_text(json.dumps(data))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: node 0: missing key 'threshold'\n"
+
 
 class TestNoiseCommand:
     def test_matrix_and_corrupted_output(self, blob_csv, tmp_path, capsys):

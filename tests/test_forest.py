@@ -113,6 +113,17 @@ class TestPredictForest:
         with pytest.raises(ValueError):
             predict_forest(forest, [0.0])
 
+    def test_single_row_equals_batch_row_exactly(self):
+        X, y = _blobs(seed=31)
+        forest = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")),
+                                               n_trees=3, rng_seed=8))
+        Q = np.random.default_rng(32).normal(0, 1, (40, X.shape[1]))
+        classes, dists = predict_forest_batch(forest, Q)
+        for i in range(Q.shape[0]):
+            cls, dist = predict_forest(forest, Q[i])
+            assert cls == classes[i]
+            assert np.array_equal(dist, dists[i])
+
     def test_averaged_distribution_on_simplex(self):
         X, y = _blobs(seed=23)
         forest = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")),
@@ -136,3 +147,19 @@ class TestForestSerialization:
         a = predict_forest_batch(forest, X)[1]
         b = predict_forest_batch(loaded, X)[1]
         assert np.array_equal(a, b)
+
+    def test_malformed_model_raises_value_error(self):
+        forest = Forest(params=ForestParams(TreeParams(CriterionSpec("gini")), n_trees=2),
+                        n_classes=2, trees=[_leaf_tree([3, 2]), _leaf_tree([1, 4])])
+        data = forest_to_dict(forest)
+        del data["params"]["bootstrap"]
+        with pytest.raises(ValueError, match="forest model is missing key 'bootstrap'"):
+            forest_from_dict(data)
+        data = forest_to_dict(forest)
+        data["trees"][1]["nodes"][0]["counts"] = [0, 0]
+        with pytest.raises(ValueError, match="^tree 1: node 0: leaf counts"):
+            forest_from_dict(data)
+        data = forest_to_dict(forest)
+        data["trees"][1] = tree_to_dict(_leaf_tree([1, 2, 3]))
+        with pytest.raises(ValueError, match="^tree 1: K is 3, the forest's K is 2"):
+            forest_from_dict(data)

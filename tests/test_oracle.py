@@ -151,20 +151,20 @@ class TestEarlyStopOracle:
         "spec",
         [CriterionSpec("gini"), CriterionSpec("entropy"), CriterionSpec("misclassification"),
          CriterionSpec("mae"), CriterionSpec("gce", q=0.5), CriterionSpec("gce", q=2.0),
-         CriterionSpec("ne", lam=0.0), CriterionSpec("ne", lam=1.0), CriterionSpec("twoing")],
+         CriterionSpec("ne", lam=0.0), CriterionSpec("ne", lam=0.5), CriterionSpec("ne", lam=1.0),
+         CriterionSpec("twoing")],
         ids=lambda spec: spec.label(),
     )
     def test_tree_root_split_is_the_oracle_witness(self, spec):
-        # Only where the tree splits: its halting slack and the oracle's
-        # strict "<= 0" may disagree on float noise.
         for seed in range(4):
             for i, (X, y) in enumerate(early_stop_instances(seed)):
                 tree = fit(X, y, TreeParams(spec))
-                if len(tree.nodes) == 1:
+                report = exhaustive_early_stop_check(X, y, spec)
+                assert (len(tree.feature) == 1) == report.halts, f"seed {seed}, instance {i}"
+                if report.halts:
                     continue
-                root = SplitRule(tree.nodes[0].feature, tree.nodes[0].threshold)
-                witness = exhaustive_early_stop_check(X, y, spec).witness
-                assert root == witness, f"seed {seed}, instance {i}"
+                root = SplitRule(int(tree.feature[0]), float(tree.threshold[0]))
+                assert root == report.witness, f"seed {seed}, instance {i}"
 
     def test_refuses_large_instances(self):
         X = np.zeros((501, 1))

@@ -28,7 +28,7 @@ class TestFit:
     def test_separable_stump(self):
         tree = fit(SEPARABLE_X, SEPARABLE_Y, TreeParams(CriterionSpec("gini")))
         assert tree_stats(tree) == {"node_count": 3, "leaf_count": 2, "max_depth": 1}
-        assert tree.nodes[0].threshold == 1.5
+        assert tree.threshold[0] == 1.5
         classes, _ = predict_batch(tree, SEPARABLE_X)
         assert (classes == SEPARABLE_Y).all()
 
@@ -42,8 +42,8 @@ class TestFit:
         y = np.array([0, 0, 0, 1, 0, 1])
         mis = fit(X, y, TreeParams(CriterionSpec("misclassification")))
         ent = fit(X, y, TreeParams(CriterionSpec("entropy")))
-        assert len(mis.nodes) == 1
-        assert len(ent.nodes) == 3
+        assert len(mis.feature) == 1
+        assert len(ent.feature) == 3
 
     def test_max_depth_cap(self):
         rng = np.random.default_rng(0)
@@ -57,9 +57,8 @@ class TestFit:
         X = rng.normal(0, 1, (64, 2))
         y = rng.integers(0, 2, 64)
         tree = fit(X, y, TreeParams(CriterionSpec("gini"), min_samples_leaf=10))
-        for node in tree.nodes:
-            if node.is_leaf:
-                assert node.counts.sum() >= 10
+        for nid in np.flatnonzero(tree.feature < 0):
+            assert tree.counts[nid].sum() >= 10
 
     @pytest.mark.parametrize(
         "X,y,err",
@@ -88,7 +87,7 @@ class TestFit:
         X = np.ones((10, 3))
         y = np.array([0, 1] * 5)
         tree = fit(X, y, TreeParams(CriterionSpec("entropy")))
-        assert len(tree.nodes) == 1
+        assert len(tree.feature) == 1
 
     def test_twoing_learns_separable_data(self):
         tree = fit(SEPARABLE_X, SEPARABLE_Y, TreeParams(CriterionSpec("twoing")))
@@ -115,7 +114,7 @@ class TestPredict:
 
     def test_threshold_routes_left(self):
         tree = fit(SEPARABLE_X, SEPARABLE_Y, TreeParams(CriterionSpec("gini")))
-        thr = tree.nodes[0].threshold
+        thr = tree.threshold[0]
         cls, _ = predict(tree, [thr])
         assert cls == 0
 
@@ -147,6 +146,21 @@ class TestStats:
         tree = fit(X, y, TreeParams(CriterionSpec("gini")))
         assert tree_stats(tree) == {"node_count": 7, "leaf_count": 4, "max_depth": 2}
 
+    def test_level_walk_matches_a_recursive_walk(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(0, 1, (300, 3))
+        tree = fit(X, rng.integers(0, 3, 300), TreeParams(CriterionSpec("entropy")))
+
+        def walk(nid: int, depth: int) -> tuple[int, int, int]:  # nodes, leaves, depth
+            if tree.feature[nid] < 0:
+                return 1, 1, depth
+            a, b = walk(tree.left[nid], depth + 1), walk(tree.right[nid], depth + 1)
+            return a[0] + b[0] + 1, a[1] + b[1], max(a[2], b[2])
+
+        nodes, leaves, depth = walk(0, 0)
+        assert depth > 5
+        assert tree_stats(tree) == {"node_count": nodes, "leaf_count": leaves, "max_depth": depth}
+
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
@@ -176,16 +190,58 @@ class TestSerialization:
         assert set(leaf) == {"kind", "counts"}
 
 
+def _stump_model():
+    return {"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+        {"kind": "split", "feature": 0, "threshold": 1.5, "left": 1, "right": 2},
+        {"kind": "leaf", "counts": [2, 0]},
+        {"kind": "leaf", "counts": [0, 2]},
+    ]}
+
+
+_MISSING = object()
+
+
+class TestLoadValidation:
+    def test_well_formed_model_loads(self):
+        tree = tree_from_dict(_stump_model())
+        assert (predict_batch(tree, SEPARABLE_X)[0] == SEPARABLE_Y).all()
+
+    @pytest.mark.parametrize("node, key, value, message", [
+        (0, "left", 0, "node 0: a split needs"),  # a self-loop would hang the walk
+        (0, "right", 3, "node 0: a split needs"),
+        (0, "feature", -1, "node 0: a split needs"),
+        (1, "kind", "branch", "node 1: kind must be"),
+        (0, "threshold", None, "node 0: a split needs"),  # JSON null would read as nan
+        (0, "threshold", _MISSING, "node 0: missing key 'threshold'"),
+        (2, "counts", [0, 2, 1], "node 2: counts has 3 entries, K is 2"),
+        (1, "counts", [-1, 3], "node 1: leaf counts"),
+        (2, "counts", [0, 0], "node 2: leaf counts"),
+    ])
+    def test_malformed_node_is_named(self, node, key, value, message):
+        data = _stump_model()
+        if value is _MISSING:
+            del data["nodes"][node][key]
+        else:
+            data["nodes"][node][key] = value
+        with pytest.raises(ValueError, match=f"^{message}"):
+            tree_from_dict(data)
+
+    def test_missing_top_level_key(self):
+        data = _stump_model()
+        del data["K"]
+        with pytest.raises(ValueError, match="missing key 'K'"):
+            tree_from_dict(data)
+
+
 def _leaf_counts_by_node(tree: Tree):
     """counts per node id, internal nodes summed from their leaves."""
     memo = {}
 
     def rec(nid: int):
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            memo[nid] = node.counts
+        if tree.feature[nid] < 0:
+            memo[nid] = tree.counts[nid]
         else:
-            memo[nid] = rec(node.left) + rec(node.right)
+            memo[nid] = rec(tree.left[nid]) + rec(tree.right[nid])
         return memo[nid]
 
     rec(0)
@@ -206,20 +262,18 @@ class TestTreeInvariants:
         counts = _leaf_counts_by_node(tree)
         n = 120
         total_drop = 0.0
-        for nid, node in enumerate(tree.nodes):
-            if node.is_leaf:
-                continue
+        for nid in np.flatnonzero(tree.feature >= 0):
             parent = impurity(spec, ClassHistogram(counts[nid]), n).value
             child = (
-                impurity(spec, ClassHistogram(counts[node.left]), n).value
-                + impurity(spec, ClassHistogram(counts[node.right]), n).value
+                impurity(spec, ClassHistogram(counts[tree.left[nid]]), n).value
+                + impurity(spec, ClassHistogram(counts[tree.right[nid]]), n).value
             )
             assert parent - child > 0.0
             total_drop += parent - child
         root = impurity(spec, ClassHistogram(counts[0]), n).value
         leaf_sum = sum(
-            impurity(spec, ClassHistogram(node.counts), n).value
-            for node in tree.nodes if node.is_leaf
+            impurity(spec, ClassHistogram(tree.counts[nid]), n).value
+            for nid in np.flatnonzero(tree.feature < 0)
         )
         assert leaf_sum <= root + 1e-12
         assert leaf_sum == pytest.approx(root - total_drop, abs=1e-9)
