@@ -166,7 +166,7 @@ def cmd_train(parser, args) -> int:
 def _load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "trees" in data:
+    if isinstance(data, dict) and "trees" in data:
         return forest_mod.forest_from_dict(data)
     return tree_mod.tree_from_dict(data)
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import CriterionSpec
-from .tree import (Tree, TreeParams, fit, predict, predict_batch, tree_from_dict, tree_stats,
-                   tree_to_dict)
+from .tree import (Tree, TreeParams, _json, fit, predict, predict_batch, tree_from_dict,
+                   tree_stats, tree_to_dict)
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,11 @@ def forest_to_dict(forest: Forest) -> dict:
 
 def forest_from_dict(data: dict) -> Forest:
     """Build a forest from its JSON form; a malformed model raises ``ValueError``."""
+    _json(data, dict, "forest model")
     try:
-        p = data["params"]
+        p = _json(data["params"], dict, "forest params")
         tp = TreeParams(
-            criterion=CriterionSpec.from_dict(p["criterion"]),
+            criterion=CriterionSpec.from_dict(_json(p["criterion"], dict, "criterion")),
             max_depth=p.get("max_depth"),
             min_samples_leaf=p.get("min_samples_leaf", 1),
             feature_subsample=p.get("feature_subsample"),
@@ -142,7 +143,7 @@ def forest_from_dict(data: dict) -> Forest:
             bootstrap=p["bootstrap"],
             rng_seed=p.get("rng_seed", 0),
         )
-        k, entries = int(data["K"]), data["trees"]
+        k, entries = _json(data["K"], int, "K"), _json(data["trees"], list, "trees")
     except KeyError as exc:
         raise ValueError(f"forest model is missing key {exc}") from None
     trees = []

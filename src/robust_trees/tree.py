@@ -9,6 +9,19 @@ score does not exceed the criterion's halting slack: exactly zero for
 conservative criteria, whose scores come from integer class counts, and
 1e-12 against float noise otherwise.
 
+Each node finds its best split in one of two exact ways, which list the
+same candidates in the same order (feature-major, ascending thresholds)
+and feed them to one ``split_scores`` call.  The sort search sorts the
+node's columns and sweeps class counts over the sorted rows.  The histogram
+search counts classes per bin with one ``bincount``, where a fit bins every
+column once on its distinct values.  Its candidates are the boundaries
+between consecutive bins that are nonempty in the node, which are exactly
+the sort's boundaries between distinct values, and its thresholds are the
+same midpoints of those values.  So the choice changes speed, never the
+tree.  A node counts bins when the candidate features' bins are few against
+its (row, feature) cells; a fit builds no bins when no node could, as on
+continuous columns.
+
 Rows with a feature value equal to a split threshold route left.
 
 A fitted :class:`Tree` is five parallel arrays over its nodes: ``feature``
@@ -27,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import ClassHistogram, CriterionSpec, split_scores
+from .criteria import ClassHistogram, CriterionSpec, _row_sums, split_scores
 
 
 @dataclass(frozen=True)
@@ -125,6 +138,113 @@ def _best_split(
     return float(scores[best]), f, (vs[f, i] + vs[f, i + 1]) / 2.0
 
 
+@dataclass(frozen=True)
+class _Bins:
+    """Every column of a feature matrix binned on its distinct values.
+
+    Bins are numbered feature-major with ascending values: feature f owns
+    the ``nbins[f]`` bins from ``first[f]``, ``values`` holds each bin's
+    value, and ``codes[r, f]`` is the bin of row r's value of feature f.
+    """
+
+    codes: np.ndarray  # n x d int32, or intp for 2**31 bins or more
+    values: np.ndarray  # float64, one per bin
+    first: np.ndarray  # d + 1 intp offsets; first[d] is the bin count
+    nbins: np.ndarray  # d intp
+
+    def count(self, feats: np.ndarray | None) -> int:
+        """The number of bins of the features ``feats`` (all when None)."""
+        return int(self.first[-1] if feats is None else self.nbins[feats].sum())
+
+
+def _distinct(col: np.ndarray) -> np.ndarray:
+    """The distinct values of ``col`` in ascending order.  (``np.unique``
+    may count them in a hash table, whose many small allocations stay in
+    the process's memory when fits run on pool threads.)"""
+    s = np.sort(col)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def _bin_columns(X: np.ndarray, per_node: int | None = None) -> _Bins | None:
+    """Bin the columns of X.  With ``per_node`` given, return None instead
+    when no node searching that many of the columns can pass the gate of
+    :func:`_use_histogram`; the distinct values tell, before any code is
+    built.  Columns are handled one at a time, so the scratch memory is a
+    few columns, and the codes are 32-bit whenever the bin count allows."""
+    n, d = X.shape
+    values = [_distinct(col) for col in X.T]
+    nbins = np.array([v.size for v in values], dtype=np.intp)
+    if per_node is not None and not _use_histogram(
+            int(np.sort(nbins)[:per_node].sum()), n, per_node):
+        return None
+    first = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum(nbins, out=first[1:])
+    codes = np.empty((n, d), dtype=np.int32 if first[-1] < 2**31 else np.intp)
+    for f, (col, v) in enumerate(zip(X.T, values)):
+        if v.size > 8:
+            codes[:, f] = np.searchsorted(v, col)
+        else:  # a few comparisons beat a binary search per row
+            codes[:, f] = sum((col > t for t in v[:-1]), np.zeros(n, dtype=codes.dtype))
+    codes += first[:-1]
+    return _Bins(codes, np.concatenate(values), first, nbins)
+
+
+def _use_histogram(bins: int, rows: int, features: int) -> bool:
+    """Whether a node's histogram search beats its sort: the candidate
+    features' bins are few against the (row, feature) cells it counts."""
+    return 4 * bins <= rows * features
+
+
+def _best_split_hist(
+    spec: CriterionSpec,
+    bins: _Bins,
+    idx: np.ndarray,
+    feats: np.ndarray | None,
+    yn: np.ndarray,
+    parent_counts: np.ndarray,
+    dataset_size: int,
+    min_samples_leaf: int,
+):
+    """:func:`_best_split` from per-bin class counts, with identical results.
+
+    One ``bincount`` over ``bin * K + label`` of the node's rows ``idx`` and
+    candidate features ``feats`` (all when None) counts the classes per bin.
+    The candidates are the boundaries between consecutive nonempty bins of a
+    feature, which are the sort path's real boundaries; the left counts are
+    a cumulative sum over the nonempty bins less the parent counts of the
+    features before.  Order, thresholds and scores equal the sort path's.
+    """
+    k = parent_counts.shape[0]
+    if feats is None:
+        codes, first = bins.codes[idx], bins.first
+    else:  # renumber the candidate features' bins from 0
+        first = np.zeros(feats.size + 1, dtype=np.intp)
+        np.cumsum(bins.nbins[feats], out=first[1:])
+        codes = bins.codes[idx[:, None], feats] - (bins.first[feats] - first[:-1])
+    key = np.multiply(codes, k, dtype=np.intp)  # bin * K + label, in 64 bits
+    key += yn[:, None]
+    hist = np.bincount(key.ravel(), minlength=int(first[-1]) * k).reshape(-1, k)
+    full = np.flatnonzero(_row_sums(hist))  # nonempty bins, feature-major
+    owner = np.searchsorted(first, full, side="right") - 1
+    left = hist[full].cumsum(axis=0) - owner[:, None] * parent_counts
+    valid = owner[:-1] == owner[1:]  # a boundary after nonempty bin i
+    if min_samples_leaf > 1:
+        sizes = _row_sums(left[:-1])
+        valid &= (sizes >= min_samples_leaf) & (idx.size - sizes >= min_samples_leaf)
+    at = np.flatnonzero(valid)
+    if at.size == 0:
+        return None
+    scores = split_scores(spec, parent_counts, left[at], dataset_size)
+    best = int(np.argmax(scores))
+    i = int(at[best])
+    f = int(owner[i])
+    shift = bins.first[f if feats is None else feats[f]] - first[f]
+    return float(scores[best]), f, (bins.values[full[i] + shift]
+                                    + bins.values[full[i + 1] + shift]) / 2.0
+
+
 def fit(
     features,
     labels,
@@ -163,6 +283,7 @@ def fit(
         raise ValueError("feature_subsample cannot exceed the feature count")
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
+    bins = _bin_columns(X, subsample or d)
 
     # one entry per node, appended in preorder: [feature, threshold, left, right, counts]
     nodes: list[list] = []
@@ -180,14 +301,17 @@ def fit(
             and idx.shape[0] >= 2 * params.min_samples_leaf
         )
         if splittable:
+            feats = None
             if subsample is not None and subsample < d:
                 feats = np.sort(rng.choice(d, size=subsample, replace=False))
-                Xn = X[idx[:, None], feats[None, :]]
+            width = d if feats is None else feats.size
+            if bins is not None and _use_histogram(bins.count(feats), idx.size, width):
+                found = _best_split_hist(spec, bins, idx, feats, y[idx], counts,
+                                         dataset_size, params.min_samples_leaf)
             else:
-                feats = None
-                Xn = X[idx]
-            found = _best_split(spec, Xn, y[idx], counts, dataset_size,
-                                params.min_samples_leaf)
+                Xn = X[idx] if feats is None else X[idx[:, None], feats[None, :]]
+                found = _best_split(spec, Xn, y[idx], counts, dataset_size,
+                                    params.min_samples_leaf)
             if found is not None and found[0] > spec.halting_slack:
                 local = found[1]
                 split = (int(feats[local]) if feats is not None else local, float(found[2]))
@@ -207,9 +331,16 @@ def fit(
     return Tree(spec, k, *zip(*nodes))
 
 
+def _too_few_columns(tree: Tree, shape: tuple) -> ValueError:
+    return ValueError(f"the model splits on feature {tree.min_columns - 1}, so it needs"
+                      f" an n x d input with d >= {tree.min_columns}; got shape {shape}")
+
+
 def predict(tree: Tree, x) -> tuple[int, np.ndarray]:
     """Route one feature vector to a leaf; returns (class, distribution)."""
     x = np.asarray(x, dtype=np.float64)
+    if x.size < tree.min_columns:
+        raise _too_few_columns(tree, x.shape)
     walk = tree._walk
     nid = 0
     feature, threshold, left, right = walk[0]
@@ -223,8 +354,7 @@ def predict_batch(tree: Tree, features) -> tuple[np.ndarray, np.ndarray]:
     """Route an n x d matrix one depth per step; returns (classes, distributions)."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < tree.min_columns:
-        raise ValueError(f"the model splits on feature {tree.min_columns - 1}, so it needs"
-                         f" an n x d input with d >= {tree.min_columns}; got shape {X.shape}")
+        raise _too_few_columns(tree, X.shape)
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.flatnonzero(tree.feature[node] >= 0)
     while rows.size:
@@ -258,18 +388,35 @@ def tree_to_dict(tree: Tree) -> dict:
     return {"criterion": tree.criterion.to_dict(), "K": tree.n_classes, "nodes": nodes}
 
 
+_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
+
+
+def _wrong_json(value, kind: type, what: str) -> ValueError:
+    return ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
+
+
+def _json(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (a key of ``_JSON_KINDS``),
+    else ``ValueError`` naming ``what``."""
+    if not isinstance(value, kind):
+        raise _wrong_json(value, kind, what)
+    return value
+
+
 def tree_from_dict(data: dict) -> Tree:
     """Build a tree from its JSON form, checking that it is a well-formed model.
 
-    Raises ``ValueError`` naming the first offending node: an unknown kind or
-    a missing key, a split whose feature is negative, whose threshold is not
-    finite or whose children are not numbered after it and inside the tree,
-    or leaf counts that are not K nonnegative entries with a positive total.
+    Raises ``ValueError`` naming the first offending part: a value of the
+    wrong JSON type, an unknown kind or a missing key, a split whose feature
+    is negative, whose threshold is not finite or whose children are not
+    numbered after it and inside the tree, or leaf counts that are not K
+    nonnegative entries with a positive total.
     """
+    _json(data, dict, "tree model")
     try:
-        spec = CriterionSpec.from_dict(data["criterion"])
-        k = int(data["K"])
-        entries = data["nodes"]
+        spec = CriterionSpec.from_dict(_json(data["criterion"], dict, "criterion"))
+        k = _json(data["K"], int, "K")
+        entries = _json(data["nodes"], list, "nodes")
     except KeyError as exc:
         raise ValueError(f"tree model is missing key {exc}") from None
     if not entries:
@@ -277,6 +424,8 @@ def tree_from_dict(data: dict) -> Tree:
     no_counts = [0] * k
     rows = []
     for nid, entry in enumerate(entries):
+        if not isinstance(entry, dict):  # inline: the message is built only on failure
+            raise _wrong_json(entry, dict, f"node {nid}")
         try:
             kind = entry["kind"]
             if kind == "split":
@@ -284,6 +433,8 @@ def tree_from_dict(data: dict) -> Tree:
                              entry["right"], no_counts, True))
             elif kind == "leaf":
                 counts = entry["counts"]
+                if not isinstance(counts, list):
+                    raise _wrong_json(counts, list, f"node {nid}: counts")
                 if len(counts) != k:
                     raise ValueError(f"node {nid}: counts has {len(counts)} entries, K is {k}")
                 rows.append((-1, 0.0, -1, -1, counts, False))

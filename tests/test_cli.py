@@ -161,6 +161,38 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: node 0: missing key 'threshold'\n"
 
+    @pytest.mark.parametrize("content, message", [
+        ([], "tree model must be a JSON object, got list"),
+        ("x", "tree model must be a JSON object, got str"),
+        (1, "tree model must be a JSON object, got int"),
+        ({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+            {"kind": "split", "feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+            1, {"kind": "leaf", "counts": [0, 1]}]}, "node 1 must be a JSON object, got int"),
+        ({"criterion": "gini", "K": 2, "nodes": [{"kind": "leaf", "counts": [1, 1]}]},
+         "criterion must be a JSON object, got str"),
+        ({"criterion": {"kind": "gini"}, "K": 2, "nodes": 5},
+         "nodes must be a JSON array, got int"),
+        ({"criterion": {"kind": "gini"}, "K": [2], "nodes": []},
+         "K must be a JSON integer, got list"),
+        ({"criterion": {"kind": "gini"}, "K": 2.5, "nodes": [{"kind": "leaf", "counts": [1, 1]}]},
+         "K must be a JSON integer, got float"),
+        ({"criterion": {"kind": "gini"}, "K": 2, "nodes": [{"kind": "leaf", "counts": 5}]},
+         "node 0: counts must be a JSON array, got int"),
+        ({"params": [], "K": 2, "trees": []}, "forest params must be a JSON object, got list"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
+          "K": 2, "trees": 3}, "trees must be a JSON array, got int"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
+          "K": 2, "trees": [[]]}, "tree 0: tree model must be a JSON object, got list"),
+    ])
+    def test_wrong_json_type_exits_1(self, tmp_path, blob_csv, capsys, content, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(content))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestNoiseCommand:
     def test_matrix_and_corrupted_output(self, blob_csv, tmp_path, capsys):

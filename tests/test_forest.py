@@ -113,6 +113,13 @@ class TestPredictForest:
         with pytest.raises(ValueError):
             predict_forest(forest, [0.0])
 
+    def test_short_vector_raises_value_error(self):
+        X, y = _blobs(seed=31)
+        forest = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")),
+                                               n_trees=3, rng_seed=8))
+        with pytest.raises(ValueError, match="needs an n x d input"):
+            predict_forest(forest, X[0, :1])
+
     def test_single_row_equals_batch_row_exactly(self):
         X, y = _blobs(seed=31)
         forest = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")),

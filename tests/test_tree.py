@@ -118,6 +118,16 @@ class TestPredict:
         cls, _ = predict(tree, [thr])
         assert cls == 0
 
+    def test_short_vector_raises_like_batch(self):
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+        tree = fit(X, SEPARABLE_Y, TreeParams(CriterionSpec("gini")))
+        assert tree.min_columns == 2
+        with pytest.raises(ValueError, match="needs an n x d input with d >= 2") as one:
+            predict(tree, [1.0])
+        with pytest.raises(ValueError) as batch:
+            predict_batch(tree, [[1.0]])
+        assert str(one.value).split(";")[0] == str(batch.value).split(";")[0]
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (100, 4))
