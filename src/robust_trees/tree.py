@@ -143,18 +143,13 @@ class _Bins:
     """Every column of a feature matrix binned on its distinct values.
 
     Bins are numbered feature-major with ascending values: feature f owns
-    the ``nbins[f]`` bins from ``first[f]``, ``values`` holds each bin's
-    value, and ``codes[r, f]`` is the bin of row r's value of feature f.
+    the bins from ``first[f]`` up to ``first[f + 1]``, ``values`` holds each
+    bin's value, and ``codes[r, f]`` is the bin of row r's value of feature f.
     """
 
     codes: np.ndarray  # n x d int32, or intp for 2**31 bins or more
     values: np.ndarray  # float64, one per bin
     first: np.ndarray  # d + 1 intp offsets; first[d] is the bin count
-    nbins: np.ndarray  # d intp
-
-    def count(self, feats: np.ndarray | None) -> int:
-        """The number of bins of the features ``feats`` (all when None)."""
-        return int(self.first[-1] if feats is None else self.nbins[feats].sum())
 
 
 def _distinct(col: np.ndarray) -> np.ndarray:
@@ -183,12 +178,9 @@ def _bin_columns(X: np.ndarray, per_node: int | None = None) -> _Bins | None:
     np.cumsum(nbins, out=first[1:])
     codes = np.empty((n, d), dtype=np.int32 if first[-1] < 2**31 else np.intp)
     for f, (col, v) in enumerate(zip(X.T, values)):
-        if v.size > 8:
-            codes[:, f] = np.searchsorted(v, col)
-        else:  # a few comparisons beat a binary search per row
-            codes[:, f] = sum((col > t for t in v[:-1]), np.zeros(n, dtype=codes.dtype))
+        codes[:, f] = np.searchsorted(v, col)
     codes += first[:-1]
-    return _Bins(codes, np.concatenate(values), first, nbins)
+    return _Bins(codes, np.concatenate(values), first)
 
 
 def _use_histogram(bins: int, rows: int, features: int) -> bool:
@@ -221,7 +213,7 @@ def _best_split_hist(
         codes, first = bins.codes[idx], bins.first
     else:  # renumber the candidate features' bins from 0
         first = np.zeros(feats.size + 1, dtype=np.intp)
-        np.cumsum(bins.nbins[feats], out=first[1:])
+        np.cumsum(bins.first[feats + 1] - bins.first[feats], out=first[1:])
         codes = bins.codes[idx[:, None], feats] - (bins.first[feats] - first[:-1])
     key = np.multiply(codes, k, dtype=np.intp)  # bin * K + label, in 64 bits
     key += yn[:, None]
@@ -305,7 +297,10 @@ def fit(
             if subsample is not None and subsample < d:
                 feats = np.sort(rng.choice(d, size=subsample, replace=False))
             width = d if feats is None else feats.size
-            if bins is not None and _use_histogram(bins.count(feats), idx.size, width):
+            if bins is not None and _use_histogram(
+                    int(bins.first[-1] if feats is None
+                        else (bins.first[feats + 1] - bins.first[feats]).sum()),
+                    idx.size, width):
                 found = _best_split_hist(spec, bins, idx, feats, y[idx], counts,
                                          dataset_size, params.min_samples_leaf)
             else:
