@@ -22,12 +22,22 @@ raw formula would collapse to zero everywhere.
 ``twoing`` is also accepted as a criterion kind.  It is not loss-derived and
 has no node impurity; its splits are ranked by the twoing score instead of
 risk reduction.  :func:`split_scores` holds every split-score formula.
+
+Count arrays keep the classes on their last axis, and every sum or maximum
+over the classes reduces along the K class rows of the array's ``.T``.  A
+caller that stores its counts class-major (K x m) and passes the ``.T`` view
+makes each such reduction K - 1 contiguous vector operations over the m
+candidates instead of m reductions over K entries.  The class sums keep the
+order numpy uses on a contiguous class-last array (one class after another
+below 8 classes, pairwise from 8 on), so scores are bit for bit the same on
+either layout and no fitted tree depends on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -53,8 +63,15 @@ class CriterionSpec:
     lam: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError(f"criterion kind must be a string, got {type(self.kind).__name__}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown criterion kind: {self.kind!r}")
+        for name, value in (("q", self.q), ("lambda", self.lam)):
+            # a bool is an int to Python, but true/false in a model file is no parameter
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ValueError(f"criterion {name} must be a real number,"
+                                 f" got {type(value).__name__}")
         if self.kind == "gce":
             if self.q is None:
                 raise ValueError("gce criterion requires q")
@@ -155,9 +172,18 @@ class WeightedImpurity:
     weight: float
 
 
-def _row_sums(counts: np.ndarray) -> np.ndarray:
-    """Exact totals of integer-valued counts, faster than a sum over the short last axis."""
-    return counts @ np.ones(counts.shape[-1], dtype=counts.dtype)
+def _class_sum(counts: np.ndarray) -> np.ndarray:
+    """Sum over the last (class) axis, reduced along ``counts.T``'s K class
+    rows, in the order numpy sums a contiguous class-last array: one class
+    after the other below 8 classes, pairwise from 8 on."""
+    if counts.shape[-1] < 8:
+        return np.add.reduce(counts.T, axis=0).T
+    return np.ascontiguousarray(counts).sum(axis=-1)
+
+
+def _class_max(counts: np.ndarray) -> np.ndarray:
+    """Maximum over the last (class) axis, reduced along the class rows."""
+    return np.maximum.reduce(counts.T, axis=0).T
 
 
 def counts_impurity(spec: CriterionSpec, counts: np.ndarray) -> np.ndarray:
@@ -165,34 +191,37 @@ def counts_impurity(spec: CriterionSpec, counts: np.ndarray) -> np.ndarray:
 
     ``counts`` has class counts along the last axis; every row must have a
     positive total.  Vectorized so the split search can score all candidate
-    thresholds of a feature in one call.
+    thresholds of a feature in one call.  Passed as the ``.T`` view of
+    class-major (K x m) memory, ``counts`` turns every sum and maximum over
+    the classes into K - 1 contiguous vector operations; the order of the
+    class sums keeps the results bit for bit those of a class-last array.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    total = _row_sums(counts)
-    p = counts / total[..., None]
+    counts = np.asarray(counts)
+    p = counts / _class_sum(counts)[..., None]  # int / int divides in float64: no float copy
     kind = spec.kind
     if kind == "gini":
-        return 1.0 - np.square(p).sum(axis=-1)
+        return 1.0 - _class_sum(np.square(p))
     if kind == "entropy" or (kind == "gce" and spec.q == 0.0):
-        plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        return -plogp.sum(axis=-1)
+        plogp = np.log(p, out=np.zeros_like(p), where=p > 0.0)  # 0 ln 0 := 0
+        plogp *= p
+        return -_class_sum(plogp)
     if kind == "misclassification":
-        return 1.0 - p.max(axis=-1)
+        return 1.0 - _class_max(p)
     if kind == "mae":
-        return 2.0 * (1.0 - p.max(axis=-1))
+        return 2.0 * (1.0 - _class_max(p))
     if kind == "gce":
         if spec.q >= 1.0:
-            return (1.0 - p.max(axis=-1)) / spec.q
+            return (1.0 - _class_max(p)) / spec.q
         r = 1.0 / (1.0 - spec.q)
-        norm = np.power(np.power(p, r).sum(axis=-1), 1.0 / r)
+        norm = np.power(_class_sum(np.power(p, r)), 1.0 / r)
         return (1.0 - norm) / spec.q
     if kind == "ne":
         k = counts.shape[-1]
-        gini = np.maximum(1.0 - np.square(p).sum(axis=-1), 0.0)
+        gini = np.maximum(1.0 - _class_sum(np.square(p)), 0.0)
         root = np.sqrt(gini * (k - 1) / k)
         if spec.lam == 0.0:
             return root
-        return np.minimum(1.0 - p.max(axis=-1), spec.lam * root)
+        return np.minimum(1.0 - _class_max(p), spec.lam * root)
     raise ValueError(f"criterion {spec.label()} does not define a node impurity")
 
 
@@ -218,16 +247,20 @@ def split_scores(spec: CriterionSpec, parent, left, dataset_size: int) -> np.nda
     scores (W_L W_R / 4) (sum_k |p_L(k) - p_R(k)|)^2, conservative criteria
     C (max L + max R - max P) / dataset_size (exactly 0 when nothing is
     gained), and all others the risk reduction W_P I(P) - (W_L I(L) + W_R I(R)).
+    As in :func:`counts_impurity`, ``left`` passed as the ``.T`` view of
+    class-major (K x m) memory makes the sums and maxima over the classes
+    contiguous vector operations, and the order of the class sums keeps the
+    scores bit for bit those of a class-last array.
     """
-    right = parent - left
+    right = parent - left  # keeps the layout of ``left``
     if spec.is_conservative:
-        gain = left.max(axis=-1) + right.max(axis=-1) - parent.max(axis=-1)
+        gain = _class_max(left) + _class_max(right) - _class_max(parent)
         return spec.conservative_constant() * gain / dataset_size
-    n = parent.sum(axis=-1)
-    n_left = _row_sums(left)
+    n = _class_sum(parent)
+    n_left = _class_sum(left)
     n_right = n - n_left
     if spec.kind == "twoing":
-        gap = np.abs(left / n_left[..., None] - right / n_right[..., None]).sum(axis=-1)
+        gap = _class_sum(np.abs(left / n_left[..., None] - right / n_right[..., None]))
         return (n_left / dataset_size) * (n_right / dataset_size) / 4.0 * np.square(gap)
     return n / dataset_size * counts_impurity(spec, parent) - (
         n_left / dataset_size * counts_impurity(spec, left)

@@ -20,7 +20,10 @@ the sort's boundaries between distinct values, and its thresholds are the
 same midpoints of those values.  So the choice changes speed, never the
 tree.  A node counts bins when the candidate features' bins are few against
 its (row, feature) cells; a fit builds no bins when no node could, as on
-continuous columns.
+continuous columns.  Both searches lay the candidates' left class counts
+out class-major (K rows of candidates) and pass their ``.T`` view to
+``split_scores``, so its sums and maxima over the K classes run along the
+long candidate axis.
 
 Rows with a feature value equal to a split threshold route left.
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import ClassHistogram, CriterionSpec, _row_sums, split_scores
+from .criteria import CriterionSpec, split_scores
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def _best_split(
     n, d = Xn.shape
     k = parent_counts.shape[0]
     order = np.argsort(Xn.T, axis=1)  # one row per feature
-    vs = np.take_along_axis(Xn.T, order, axis=1)
+    vs = np.take(Xn, order * d + np.arange(d)[:, None])  # Xn[order[f, i], f]
     # valid[f, i]: a threshold between sorted rows i and i + 1 of feature f
     valid = np.zeros((d, n), dtype=bool)
     np.not_equal(vs[:, 1:], vs[:, :-1], out=valid[:, :-1])
@@ -130,9 +133,11 @@ def _best_split(
     at = np.flatnonzero(valid)
     if at.size == 0:
         return None
-    onehot = yn[order][:, :, None] == np.arange(k)
-    left = np.take(onehot.cumsum(axis=1).reshape(d * n, k), at, axis=0)
-    scores = split_scores(spec, parent_counts, left, dataset_size)
+    onehot = yn[order] == np.arange(k)[:, None, None]  # class-major: K x d x n
+    # 32-bit running counts halve the memory the sweep writes; every count fits
+    cum = onehot.cumsum(axis=2, dtype=np.int32 if n < 2**31 else np.int64)
+    left = np.take(cum.reshape(k, d * n), at, axis=1)
+    scores = split_scores(spec, parent_counts, left.T, dataset_size)
     best = int(np.argmax(scores))
     f, i = divmod(int(at[best]), n)
     return float(scores[best]), f, (vs[f, i] + vs[f, i + 1]) / 2.0
@@ -218,17 +223,18 @@ def _best_split_hist(
     key = np.multiply(codes, k, dtype=np.intp)  # bin * K + label, in 64 bits
     key += yn[:, None]
     hist = np.bincount(key.ravel(), minlength=int(first[-1]) * k).reshape(-1, k)
-    full = np.flatnonzero(_row_sums(hist))  # nonempty bins, feature-major
+    full = np.flatnonzero(hist.any(axis=1))  # nonempty bins, feature-major
     owner = np.searchsorted(first, full, side="right") - 1
     left = hist[full].cumsum(axis=0) - owner[:, None] * parent_counts
     valid = owner[:-1] == owner[1:]  # a boundary after nonempty bin i
     if min_samples_leaf > 1:
-        sizes = _row_sums(left[:-1])
+        sizes = left[:-1].sum(axis=1)
         valid &= (sizes >= min_samples_leaf) & (idx.size - sizes >= min_samples_leaf)
     at = np.flatnonzero(valid)
     if at.size == 0:
         return None
-    scores = split_scores(spec, parent_counts, left[at], dataset_size)
+    scores = split_scores(spec, parent_counts, np.ascontiguousarray(left[at].T).T,
+                          dataset_size)
     best = int(np.argmax(scores))
     i = int(at[best])
     f = int(owner[i])
@@ -464,7 +470,3 @@ def load_tree(path) -> Tree:
     with open(path, "r", encoding="utf-8") as fh:
         return tree_from_dict(json.load(fh))
 
-
-def root_histogram(tree: Tree) -> ClassHistogram:
-    """Class histogram of the training rows, reassembled from the leaves."""
-    return ClassHistogram(tree.counts.sum(axis=0))

@@ -183,6 +183,18 @@ class TestPredict:
           "K": 2, "trees": 3}, "trees must be a JSON array, got int"),
         ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
           "K": 2, "trees": [[]]}, "tree 0: tree model must be a JSON object, got list"),
+        ({"criterion": {"kind": "gce", "q": "x"}, "K": 2, "nodes": [
+            {"kind": "leaf", "counts": [1, 1]}]}, "criterion q must be a real number, got str"),
+        ({"criterion": {"kind": "ne", "lambda": [1]}, "K": 2, "nodes": [
+            {"kind": "leaf", "counts": [1, 1]}]},
+         "criterion lambda must be a real number, got list"),
+        ({"criterion": {"kind": "gce", "q": True}, "K": 2, "nodes": [
+            {"kind": "leaf", "counts": [1, 1]}]}, "criterion q must be a real number, got bool"),
+        ({"criterion": {"kind": 1}, "K": 2, "nodes": [{"kind": "leaf", "counts": [1, 1]}]},
+         "criterion kind must be a string, got int"),
+        ({"params": {"n_trees": 1, "bootstrap": True,
+                     "criterion": {"kind": "ne", "lambda": False}}, "K": 2, "trees": []},
+         "criterion lambda must be a real number, got bool"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, blob_csv, capsys, content, message):
         model = tmp_path / "model.json"

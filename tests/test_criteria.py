@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from robust_trees.criteria import (
+    KINDS,
     CdfSpec,
     ClassHistogram,
     CriterionSpec,
@@ -322,3 +323,113 @@ class TestLambdaMuMap:
             mu_from_lambda(1.5)
         with pytest.raises(ValueError):
             lambda_from_mu(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# Class-major scoring against the class-last formulas, bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_counts_impurity(spec, counts):
+    """The class-last ``counts_impurity``: every class sum and maximum is a
+    reduction over the short last axis."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts @ np.ones(counts.shape[-1], dtype=counts.dtype)
+    p = counts / total[..., None]
+    kind = spec.kind
+    if kind == "gini":
+        return 1.0 - np.square(p).sum(axis=-1)
+    if kind == "entropy" or (kind == "gce" and spec.q == 0.0):
+        plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+        return -plogp.sum(axis=-1)
+    if kind == "misclassification":
+        return 1.0 - p.max(axis=-1)
+    if kind == "mae":
+        return 2.0 * (1.0 - p.max(axis=-1))
+    if kind == "gce":
+        if spec.q >= 1.0:
+            return (1.0 - p.max(axis=-1)) / spec.q
+        r = 1.0 / (1.0 - spec.q)
+        norm = np.power(np.power(p, r).sum(axis=-1), 1.0 / r)
+        return (1.0 - norm) / spec.q
+    k = counts.shape[-1]  # ne
+    gini = np.maximum(1.0 - np.square(p).sum(axis=-1), 0.0)
+    root = np.sqrt(gini * (k - 1) / k)
+    if spec.lam == 0.0:
+        return root
+    return np.minimum(1.0 - p.max(axis=-1), spec.lam * root)
+
+
+def reference_split_scores(spec, parent, left, dataset_size):
+    """The class-last ``split_scores``."""
+    right = parent - left
+    if spec.is_conservative:
+        gain = left.max(axis=-1) + right.max(axis=-1) - parent.max(axis=-1)
+        return spec.conservative_constant() * gain / dataset_size
+    n = parent.sum(axis=-1)
+    n_left = left @ np.ones(left.shape[-1], dtype=left.dtype)
+    n_right = n - n_left
+    if spec.kind == "twoing":
+        gap = np.abs(left / n_left[..., None] - right / n_right[..., None]).sum(axis=-1)
+        return (n_left / dataset_size) * (n_right / dataset_size) / 4.0 * np.square(gap)
+    return n / dataset_size * reference_counts_impurity(spec, parent) - (
+        n_left / dataset_size * reference_counts_impurity(spec, left)
+        + n_right / dataset_size * reference_counts_impurity(spec, right)
+    )
+
+
+SCORED_SPECS = [CriterionSpec(kind) for kind in KINDS if kind not in ("gce", "ne")] + [
+    CriterionSpec("gce", q=q) for q in (0.0, 0.7, 2.0)] + [
+    CriterionSpec("ne", lam=lam) for lam in (0.0, 0.5, 1.0)]
+
+
+def class_major(counts):
+    """``counts`` as the ``.T`` view of class-major memory."""
+    return np.ascontiguousarray(counts.T).T
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestClassMajorScoring:
+    """Scores on class rows equal the class-last formulas bit for bit, on
+    both sides of the 8-class switch in the order of the class sums."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(2, 12), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_class_last(self, k, m, seed):
+        rng = np.random.default_rng(seed)
+        parent = rng.integers(0, 30, k) * (rng.random(k) < 0.8)  # zero classes too
+        left = rng.integers(0, parent + 1, (m, k))
+        left = left[(left.sum(axis=1) > 0) & (left.sum(axis=1) < parent.sum())]
+        assume(left.shape[0] > 0)
+        dataset_size = int(parent.sum()) + int(rng.integers(0, 50))
+        for spec in SCORED_SPECS:
+            want = reference_split_scores(spec, parent, left, dataset_size)
+            for layout in (left, class_major(left)):
+                assert same_bits(split_scores(spec, parent, layout, dataset_size), want), spec
+            if spec.kind == "twoing":
+                continue
+            want = reference_counts_impurity(spec, left)
+            for layout in (left, class_major(left)):
+                assert same_bits(counts_impurity(spec, layout), want), spec
+            assert same_bits(counts_impurity(spec, parent),
+                             reference_counts_impurity(spec, parent)), spec
+
+    @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.parametrize("spec", SCORED_SPECS, ids=lambda s: s.label())
+    def test_result_shapes(self, spec, k):
+        rng = np.random.default_rng(k)
+        parent = rng.integers(5, 10, k)
+        left = rng.integers(1, 5, (2, 3, k))
+        for counts in (left[0, 0], left[0], left, class_major(left)):
+            # the reference sums in class-last order on contiguous class-last input only
+            contiguous = np.ascontiguousarray(counts)
+            got = split_scores(spec, parent, counts, 100)
+            assert np.shape(got) == counts.shape[:-1]
+            assert same_bits(got, reference_split_scores(spec, parent, contiguous, 100))
+            if spec.kind != "twoing":
+                got = counts_impurity(spec, counts)
+                assert np.shape(got) == counts.shape[:-1]
+                assert same_bits(got, reference_counts_impurity(spec, contiguous))

@@ -13,7 +13,6 @@ from robust_trees.tree import (
     load_tree,
     predict,
     predict_batch,
-    root_histogram,
     save_tree,
     tree_from_dict,
     tree_stats,
@@ -293,4 +292,4 @@ class TestTreeInvariants:
         X = rng.normal(0, 1, (257, 3))
         y = rng.integers(0, 4, 257)
         tree = fit(X, y, TreeParams(CriterionSpec("entropy")))
-        assert np.array_equal(root_histogram(tree).counts, np.bincount(y, minlength=4))
+        assert np.array_equal(tree.counts.sum(axis=0), np.bincount(y, minlength=4))
