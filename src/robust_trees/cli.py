@@ -4,8 +4,7 @@ Subcommands: train, predict, noise, tune, bench, verify.  On success each
 command prints exactly one JSON status line to stdout (tables and progress
 go to stderr).  Exit codes: 0 success, 1 data or check failure, 2 bad flags.
 All commands are deterministic given their --seed.  ``bench`` evaluates grid
-cells in parallel, on as many threads as the ROBUST_TREES_THREADS environment
-variable allows (0 = auto); the thread count never affects results.
+cells one after another on one thread (see :func:`dataeng.evaluate`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ The experiment protocol: corrupt the training labels (never the test
 labels), optionally pick the NE robustness parameter on a noisy 80/20
 validation split, fit on the full noisy training set, and score on the
 clean test set.  Each (criterion, noise, replication) cell derives its own
-seeds, so results are reproducible and independent of evaluation order or
-worker count.
+seeds, so results are reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +21,6 @@ import numpy as np
 from .criteria import CriterionSpec
 from .forest import Forest, ForestParams, fit_forest, forest_stats, predict_forest_batch
 from .noise import NoiseSpec, corrupt
-from .parallel import worker_count
 from .tree import Tree, TreeParams, fit, predict_batch, tree_stats
 
 RESULTS_HEADER = [
@@ -387,6 +384,15 @@ class ExperimentConfig:
             raise ValueError("dataset format must be 'csv' or 'libsvm'")
         if not self.criteria or not self.noise:
             raise ValueError("need at least one criterion and one noise setting")
+        grid = self.tuning_grid
+        if not isinstance(grid, (list, tuple)) or not grid:
+            raise ValueError(f"tuning grid must be a non-empty list of lambdas, got {grid!r}")
+        try:
+            for lam in grid:
+                CriterionSpec("ne", lam=lam)
+        except ValueError as exc:
+            raise ValueError(f"tuning grid: {exc}") from None
+        object.__setattr__(self, "tuning_grid", tuple(float(lam) for lam in grid))
 
     @staticmethod
     def from_dict(d: dict, base_dir=None) -> "ExperimentConfig":
@@ -410,7 +416,7 @@ class ExperimentConfig:
             split_seed=split.get("seed", 0),
             replications=d.get("replications", 5),
             seed=d.get("seed", 0),
-            tuning_grid=tuple(tuning.get("grid", DEFAULT_LAMBDA_GRID)),
+            tuning_grid=tuning.get("grid", DEFAULT_LAMBDA_GRID),
             validation_fraction=tuning.get("validation_fraction", 0.2),
         )
 
@@ -458,6 +464,9 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
     Noise corrupts training labels only; the same noisy labels are shared by
     all criteria within one (noise, replication) cell so criteria compete on
     identical data.  Output order and content depend only on the config.
+    Cells run one after another on the calling thread: a split search is a
+    chain of short numpy calls, and on a thread pool they contended for the
+    interpreter lock, which made a 2-thread grid about 20% slower than 1.
     """
     ds = load_experiment_dataset(config)
     name = config.dataset_name or Path(config.dataset_path).stem
@@ -481,7 +490,8 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
         try:
             return _run_cell(task)
         except Exception as exc:
-            raise RuntimeError(
+            error = ValueError if isinstance(exc, ValueError) else RuntimeError
+            raise error(
                 f"evaluation failed at criterion={config.criteria[ci].name} "
                 f"noise={config.noise[ni].label()} replication={rep}: {exc}"
             ) from exc
@@ -522,13 +532,7 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
             seconds=elapsed,
         )
 
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        records = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, tasks))
-    return records
+    return [run(t) for t in tasks]
 
 
 def aggregate(records: list[ResultRecord]) -> list[dict]:

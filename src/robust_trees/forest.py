@@ -4,7 +4,7 @@ Each tree trains on a bootstrap resample (optional) with per-split feature
 subsampling, defaulting to ceil(sqrt(d)) features per split and 100 trees.
 Every tree draws from its own generator, spawned deterministically from the
 forest seed and the tree index, so training is reproducible.  Trees are fit
-one after another; the experiment grid runs whole cells in parallel.
+one after another, and so are the cells of the experiment grid.
 Prediction averages the leaf distributions over all trees and takes the
 argmax (lowest index on ties).
 """

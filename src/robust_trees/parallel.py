@@ -1,4 +1,8 @@
-"""Worker-pool sizing for the experiment grid, which evaluates cells in parallel."""
+"""Worker count from the ROBUST_TREES_THREADS environment variable.
+
+No library code reads it.  The benchmark still records and traces
+:func:`worker_count`; its next change drops that import, and then this module.
+"""
 
 from __future__ import annotations
 

@@ -157,16 +157,6 @@ class _Bins:
     first: np.ndarray  # d + 1 intp offsets; first[d] is the bin count
 
 
-def _distinct(col: np.ndarray) -> np.ndarray:
-    """The distinct values of ``col`` in ascending order.  (``np.unique``
-    may count them in a hash table, whose many small allocations stay in
-    the process's memory when fits run on pool threads.)"""
-    s = np.sort(col)
-    keep = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
 def _bin_columns(X: np.ndarray, per_node: int | None = None) -> _Bins | None:
     """Bin the columns of X.  With ``per_node`` given, return None instead
     when no node searching that many of the columns can pass the gate of
@@ -174,7 +164,7 @@ def _bin_columns(X: np.ndarray, per_node: int | None = None) -> _Bins | None:
     built.  Columns are handled one at a time, so the scratch memory is a
     few columns, and the codes are 32-bit whenever the bin count allows."""
     n, d = X.shape
-    values = [_distinct(col) for col in X.T]
+    values = [np.unique(col) for col in X.T]
     nbins = np.array([v.size for v in values], dtype=np.intp)
     if per_node is not None and not _use_histogram(
             int(np.sort(nbins)[:per_node].sum()), n, per_node):

@@ -234,7 +234,7 @@ class TestTune:
         assert set(status["scores"]) == {"0", "0.5", "1"}
 
 
-def _bench_config(tmp_path, data_path, reps=2):
+def _bench_config(tmp_path, data_path, reps=2, **overrides):
     config = {
         "dataset": {"path": str(data_path), "format": "csv", "label_column": "label"},
         "split": {"train_fraction": 0.8, "seed": 0},
@@ -243,6 +243,7 @@ def _bench_config(tmp_path, data_path, reps=2):
         "model": {"kind": "tree"},
         "replications": reps,
         "seed": 11,
+        **overrides,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -274,6 +275,23 @@ class TestBench:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"tuning": {"grid": []}}, "error: tuning grid must be a non-empty list"),
+        ({"tuning": {"grid": [2.0]}}, "error: tuning grid: ne lambda must be in [0, 1]"),
+        ({"tuning": {"grid": ["x"]}}, "error: tuning grid: criterion lambda must be a real"),
+        ({"tuning": {"grid": "0.5"}}, "error: tuning grid must be a non-empty list"),
+        ({"model": {"min_samples_leaf": 0}},
+         "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
+         " min_samples_leaf must be >= 1"),
+    ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
+            "cell-value-error"])
+    def test_bad_config_exits_1(self, blob_csv, tmp_path, capsys, overrides, message):
+        config = _bench_config(tmp_path, blob_csv, criteria=[{"kind": "ane"}], **overrides)
+        code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
 
 class TestVerify:

@@ -1,8 +1,11 @@
 """Loaders, splits, lambda tuning, and the evaluation grid."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from robust_trees import dataeng
 from robust_trees.criteria import CriterionSpec
 from robust_trees.dataeng import (
     CriterionSetting,
@@ -261,7 +264,16 @@ class TestEvaluate:
         monkeypatch.setenv("ROBUST_TREES_THREADS", "1")
         first = evaluate(config)
         monkeypatch.setenv("ROBUST_TREES_THREADS", "8")
+        fit_threads = []
+
+        def recording_fit(*args, **kwargs):
+            fit_threads.append(threading.get_ident())
+            return _fit_model(*args, **kwargs)
+
+        monkeypatch.setattr(dataeng, "_fit_model", recording_fit)
         second = evaluate(config)
+        # 2 ane cells fit 5 lambda trees and a final one, 2 entropy cells one each
+        assert fit_threads == [threading.get_ident()] * 14
         strip = lambda recs: [
             (r.dataset, r.criterion, r.params, r.noise, r.seed, r.accuracy,
              r.nodes, r.leaves, r.depth)
