@@ -58,7 +58,6 @@ from .oracle import (
     exhaustive_early_stop_check,
 )
 from .tree import (
-    SplitRule,
     Tree,
     TreeParams,
     fit,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataeng, forest as forest_mod, noise as noise_mod, tree as tree_mod
 from .criteria import KINDS, CriterionSpec
-from .dataeng import Dataset, ModelConfig
+from .dataeng import DEFAULT_LAMBDA_GRID, DEFAULT_VALIDATION_FRACTION, Dataset, ModelConfig
 from .verify import SUITES, run_suite
 
 
@@ -27,25 +27,14 @@ def _status(payload: dict) -> None:
 
 
 def _load_dataset(args) -> Dataset:
-    if args.format == "csv":
-        return dataeng.load_csv(args.data, label_column=args.label_column,
-                                header=not args.no_header)
-    return dataeng.load_libsvm(args.data)
+    return dataeng.load_dataset(args.data, args.format, args.label_column, not args.no_header)
 
 
 def _criterion_from_args(parser: argparse.ArgumentParser, args) -> CriterionSpec:
-    kind = args.criterion
-    if kind == "gce":
-        if args.q is None:
-            parser.error("--criterion gce requires --q")
-        return CriterionSpec("gce", q=args.q)
-    if kind == "ne":
-        if args.lam is None:
-            parser.error("--criterion ne requires --lambda")
-        return CriterionSpec("ne", lam=args.lam)
-    if args.q is not None or args.lam is not None:
-        parser.error(f"--criterion {kind} takes neither --q nor --lambda")
-    return CriterionSpec(kind)
+    try:
+        return CriterionSpec(args.criterion, q=args.q, lam=args.lam)
+    except ValueError as exc:
+        parser.error(str(exc))  # a flag mistake: exit 2
 
 
 def _model_config_from_args(args) -> ModelConfig:
@@ -59,24 +48,21 @@ def _model_config_from_args(args) -> ModelConfig:
     )
 
 
-def _add_data_flags(sub, with_label: bool = True):
+def _add_data_flags(sub):
     sub.add_argument("--data", required=True, help="input dataset path")
-    sub.add_argument("--format", required=True, choices=("csv", "libsvm"))
-    if with_label:
-        sub.add_argument("--label-column", default="label",
-                         help="CSV label column name (or index with --no-header)")
-        sub.add_argument("--no-header", action="store_true",
-                         help="CSV file has no header row")
+    sub.add_argument("--format", required=True, choices=dataeng.FORMATS)
+    sub.add_argument("--label-column", default="label",
+                     help="CSV label column name (or index with --no-header)")
+    sub.add_argument("--no-header", action="store_true", help="CSV file has no header row")
 
 
 def _add_model_flags(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--tree", action="store_true", help="train a single tree (default)")
-    group.add_argument("--forest", action="store_true", help="train a random forest")
-    sub.add_argument("--trees", type=int, default=100, help="forest size")
-    sub.add_argument("--max-depth", type=int, default=None)
-    sub.add_argument("--min-samples-leaf", type=int, default=1)
-    sub.add_argument("--feature-subsample", type=int, default=None,
+    sub.add_argument("--forest", action="store_true",
+                     help="train a random forest instead of a single tree")
+    sub.add_argument("--trees", type=int, default=ModelConfig.n_trees, help="forest size")
+    sub.add_argument("--max-depth", type=int)
+    sub.add_argument("--min-samples-leaf", type=int, default=ModelConfig.min_samples_leaf)
+    sub.add_argument("--feature-subsample", type=int,
                      help="features drawn per split (forest default: ceil(sqrt(d)))")
     sub.add_argument("--no-bootstrap", action="store_true")
 
@@ -107,21 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noise = sub.add_parser("noise", help="corrupt labels / emit a transition matrix")
     _add_data_flags(p_noise)
-    p_noise.add_argument("--kind", required=True,
-                         choices=("uniform", "binary_cc", "mahalanobis"))
-    p_noise.add_argument("--eta", type=float, default=0.0)
-    p_noise.add_argument("--rho-pos", type=float, default=0.0)
-    p_noise.add_argument("--rho-neg", type=float, default=0.0)
-    p_noise.add_argument("--ridge", type=float, default=None)
+    p_noise.add_argument("--kind", required=True, choices=noise_mod.KINDS)
+    p_noise.add_argument("--eta", type=float, default=noise_mod.NoiseSpec.eta)
+    p_noise.add_argument("--rho-pos", type=float, default=noise_mod.NoiseSpec.rho_pos)
+    p_noise.add_argument("--rho-neg", type=float, default=noise_mod.NoiseSpec.rho_neg)
+    p_noise.add_argument("--ridge", type=float)
     p_noise.add_argument("--seed", type=int, default=0)
     p_noise.add_argument("--matrix-out", default=None, help="write the K x K matrix CSV")
     p_noise.add_argument("--out", default=None, help="write the corrupted dataset CSV")
 
     p_tune = sub.add_parser("tune", help="select the NE lambda on a validation shard")
     _add_data_flags(p_tune)
-    p_tune.add_argument("--grid", default="0,0.25,0.5,0.75,1",
+    p_tune.add_argument("--grid", default=",".join(f"{lam:g}" for lam in DEFAULT_LAMBDA_GRID),
                         help="comma-separated lambda values")
-    p_tune.add_argument("--validation-fraction", type=float, default=0.2)
+    p_tune.add_argument("--validation-fraction", type=float, default=DEFAULT_VALIDATION_FRACTION)
     _add_model_flags(p_tune)
     p_tune.add_argument("--seed", type=int, default=0)
 
@@ -136,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a brute-force oracle suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--inject-fault", action="store_true",
-                          help=argparse.SUPPRESS)  # test fixture: force a failure
     return parser
 
 
@@ -147,12 +130,8 @@ def cmd_train(parser, args) -> int:
     model_cfg = _model_config_from_args(args)
     fitted = dataeng._fit_model(model_cfg, spec, ds.features, ds.labels,
                                 ds.n_classes, args.seed)
-    if isinstance(fitted, tree_mod.Tree):
-        tree_mod.save_tree(fitted, args.out)
-        stats = tree_mod.tree_stats(fitted)
-    else:
-        forest_mod.save_forest(fitted, args.out)
-        stats = forest_mod.forest_stats(fitted)
+    dataeng._save_model(fitted, args.out)
+    stats = dataeng._model_stats(fitted)
     acc = dataeng.accuracy_score(fitted, ds.features, ds.labels)
     _status({
         "command": "train", "criterion": spec.label(), "model": model_cfg.kind,
@@ -180,10 +159,7 @@ def cmd_predict(parser, args) -> int:
     else:
         ds = _load_dataset(args)
         X, y = ds.features, ds.labels
-    if isinstance(model, tree_mod.Tree):
-        classes, dists = tree_mod.predict_batch(model, X)
-    else:
-        classes, dists = forest_mod.predict_forest_batch(model, X)
+    classes, dists = dataeng._model_predictions(model, X)
     if args.out:
         dataeng.write_csv(args.out, ["prediction"] + [f"p{k}" for k in range(dists.shape[1])],
                           ([int(c)] + [repr(float(v)) for v in dist]
@@ -254,7 +230,7 @@ def cmd_bench(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    checks = run_suite(args.suite, seed=args.seed, inject_fault=args.inject_fault)
+    checks = run_suite(args.suite, seed=args.seed)
     failures = [c for c in checks if not c.passed]
     width = max(len(c.name) for c in checks)
     for c in checks:

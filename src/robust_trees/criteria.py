@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,6 +48,17 @@ KINDS = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 # Criteria whose impurity is C * (1 - ||p||_inf); risk reductions for these
 # reduce to integer arithmetic on class counts and are computed exactly.
 _CONSERVATIVE = ("misclassification", "mae")
+
+_TYPE_NAMES = {Real: "a real number", Integral: "an integer", bool: "true or false"}
+
+
+def _check_type(what: str, value, kind: type, optional: bool = False) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is a ``kind`` (a key
+    of ``_TYPE_NAMES``), or None when ``optional``.  A bool is no number here."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +79,7 @@ class CriterionSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown criterion kind: {self.kind!r}")
         for name, value in (("q", self.q), ("lambda", self.lam)):
-            # a bool is an int to Python, but true/false in a model file is no parameter
-            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ValueError(f"criterion {name} must be a real number,"
-                                 f" got {type(value).__name__}")
+            _check_type(f"criterion {name}", value, Real, optional=True)
         if self.kind == "gce":
             if self.q is None:
                 raise ValueError("gce criterion requires q")

@@ -13,15 +13,17 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriterionSpec
-from .forest import Forest, ForestParams, fit_forest, forest_stats, predict_forest_batch
+from .criteria import CriterionSpec, _check_type
+from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
 from .noise import NoiseSpec, corrupt
-from .tree import Tree, TreeParams, fit, predict_batch, tree_stats
+from .tree import (Tree, TreeParams, _from_json, _json, fit, predict_batch, save_tree,
+                   tree_stats)
 
 RESULTS_HEADER = [
     "dataset", "criterion", "params", "noise", "seed",
@@ -31,6 +33,8 @@ SUMMARY_HEADER = [
     "dataset", "criterion", "noise", "replications", "mean_accuracy", "two_sd",
 ]
 DEFAULT_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+DEFAULT_VALIDATION_FRACTION = 0.2
+FORMATS = ("csv", "libsvm")
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,16 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     return Dataset(features, labels, class_names)
 
 
+def load_dataset(path, fmt: str, label_column="label", header: bool = True,
+                 label_map: dict | None = None) -> Dataset:
+    """Load a ``csv`` file (see :func:`load_csv`) or a ``libsvm`` one, then
+    collapse its classes by ``label_map`` if given."""
+    if fmt not in FORMATS:
+        raise ValueError(f"dataset format must be one of {FORMATS}, got {fmt!r}")
+    ds = load_csv(path, label_column, header) if fmt == "csv" else load_libsvm(path)
+    return apply_label_map(ds, label_map) if label_map else ds
+
+
 def apply_label_map(dataset: Dataset, mapping: dict) -> Dataset:
     """Collapse classes via a many-to-one name mapping.
 
@@ -250,17 +264,6 @@ class ModelConfig:
         if self.kind not in ("tree", "forest"):
             raise ValueError(f"model kind must be 'tree' or 'forest', got {self.kind!r}")
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            kind=d.get("kind", "tree"),
-            max_depth=d.get("max_depth"),
-            min_samples_leaf=d.get("min_samples_leaf", 1),
-            n_trees=d.get("n_trees", 100),
-            bootstrap=d.get("bootstrap", True),
-            feature_subsample=d.get("feature_subsample"),
-        )
-
 
 def _seed_int(*entropy) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
@@ -281,18 +284,21 @@ def _fit_model(model: ModelConfig, spec: CriterionSpec, X, y, n_classes: int, se
     return fit_forest(X, y, fp, n_classes=n_classes)
 
 
-def _model_predictions(fitted, X) -> np.ndarray:
-    if isinstance(fitted, Tree):
-        return predict_batch(fitted, X)[0]
-    return predict_forest_batch(fitted, X)[0]
+def _model_predictions(fitted, X) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted classes and class distributions of a tree or a forest."""
+    return (predict_batch if isinstance(fitted, Tree) else predict_forest_batch)(fitted, X)
 
 
 def _model_stats(fitted) -> dict:
     return tree_stats(fitted) if isinstance(fitted, Tree) else forest_stats(fitted)
 
 
+def _save_model(fitted, path) -> None:
+    (save_tree if isinstance(fitted, Tree) else save_forest)(fitted, path)
+
+
 def accuracy_score(fitted, X, y) -> float:
-    return float((_model_predictions(fitted, X) == np.asarray(y)).mean())
+    return float((_model_predictions(fitted, X)[0] == np.asarray(y)).mean())
 
 
 def tune_lambda(
@@ -300,7 +306,7 @@ def tune_lambda(
     grid,
     model: ModelConfig,
     seed,
-    validation_fraction: float = 0.2,
+    validation_fraction: float = DEFAULT_VALIDATION_FRACTION,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the NE robustness parameter on a held-out shard of noisy data.
 
@@ -311,6 +317,8 @@ def tune_lambda(
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
+    if not (0.0 < validation_fraction < 1.0):
+        raise ValueError(f"validation_fraction must lie in (0, 1), got {validation_fraction}")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     split_seed, model_stream = base.spawn(2)
     fit_part, val_part = train_test_split(train, 1.0 - validation_fraction, split_seed)
@@ -341,11 +349,10 @@ class CriterionSetting:
 
     @staticmethod
     def from_dict(d: dict) -> "CriterionSetting":
-        kind = d["kind"]
-        if kind == "ane":
+        if _json(d, dict, "criterion")["kind"] == "ane":
             return CriterionSetting(name="ane", adaptive=True)
-        spec = CriterionSpec(kind=kind, q=d.get("q"), lam=d.get("lambda"))
-        return CriterionSetting(name=kind, spec=spec)
+        spec = CriterionSpec.from_dict(d)
+        return CriterionSetting(name=spec.kind, spec=spec)
 
     def params_label(self) -> str:
         if self.spec is None:
@@ -373,15 +380,17 @@ class ExperimentConfig:
     replications: int = 5
     seed: int = 0
     tuning_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    validation_fraction: float = 0.2
+    validation_fraction: float = DEFAULT_VALIDATION_FRACTION
 
     def __post_init__(self):
+        for name, kind in (("header", bool), ("train_fraction", Real), ("split_seed", Integral),
+                           ("replications", Integral), ("seed", Integral),
+                           ("validation_fraction", Real)):
+            _check_type(name, getattr(self, name), kind)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie in (0, 1)")
-        if self.dataset_format not in ("csv", "libsvm"):
-            raise ValueError("dataset format must be 'csv' or 'libsvm'")
         if not self.criteria or not self.noise:
             raise ValueError("need at least one criterion and one noise setting")
         grid = self.tuning_grid
@@ -396,29 +405,35 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict, base_dir=None) -> "ExperimentConfig":
-        ds = d["dataset"]
-        path = Path(ds["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        split = d.get("split", {})
-        tuning = d.get("tuning", {})
-        return ExperimentConfig(
-            dataset_path=str(path),
-            dataset_format=ds["format"],
-            label_column=ds.get("label_column", "label"),
-            header=ds.get("header", True),
-            label_map=ds.get("label_map"),
-            dataset_name=ds.get("name"),
-            criteria=tuple(CriterionSetting.from_dict(c) for c in d["criteria"]),
-            noise=tuple(NoiseSpec.from_dict(nz) for nz in d["noise"]),
-            model=ModelConfig.from_dict(d.get("model", {})),
-            train_fraction=split.get("train_fraction", 0.8),
-            split_seed=split.get("seed", 0),
-            replications=d.get("replications", 5),
-            seed=d.get("seed", 0),
-            tuning_grid=tuning.get("grid", DEFAULT_LAMBDA_GRID),
-            validation_fraction=tuning.get("validation_fraction", 0.2),
-        )
+        """Read a config's JSON object; a missing key, or a section of the
+        wrong JSON type, raises ``ValueError`` naming it."""
+        try:
+            ds = _json(_json(d, dict, "experiment config")["dataset"], dict, "dataset")
+            path = Path(ds["path"])
+            if base_dir is not None and not path.is_absolute():
+                path = Path(base_dir) / path
+            split = _json(d.get("split", {}), dict, "split")
+            tuning = _json(d.get("tuning", {}), dict, "tuning")
+            return ExperimentConfig(
+                dataset_path=str(path),
+                dataset_format=ds["format"],
+                label_column=ds.get("label_column", "label"),
+                header=ds.get("header", True),
+                label_map=ds.get("label_map"),
+                dataset_name=ds.get("name"),
+                criteria=tuple(CriterionSetting.from_dict(c)
+                               for c in _json(d["criteria"], list, "criteria")),
+                noise=tuple(NoiseSpec.from_dict(nz) for nz in _json(d["noise"], list, "noise")),
+                model=_from_json(ModelConfig, d.get("model", {}), "model"),
+                train_fraction=split.get("train_fraction", 0.8),
+                split_seed=split.get("seed", 0),
+                replications=d.get("replications", 5),
+                seed=d.get("seed", 0),
+                tuning_grid=tuning.get("grid", DEFAULT_LAMBDA_GRID),
+                validation_fraction=tuning.get("validation_fraction", DEFAULT_VALIDATION_FRACTION),
+            )
+        except KeyError as exc:
+            raise ValueError(f"experiment config is missing key {exc}") from None
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -447,17 +462,6 @@ class ResultRecord:
         ]
 
 
-def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
-    if config.dataset_format == "csv":
-        ds = load_csv(config.dataset_path, label_column=config.label_column,
-                      header=config.header)
-    else:
-        ds = load_libsvm(config.dataset_path)
-    if config.label_map:
-        ds = apply_label_map(ds, config.label_map)
-    return ds
-
-
 def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
     """Run the full (criterion x noise x replication) grid.
 
@@ -468,7 +472,8 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
     chain of short numpy calls, and on a thread pool they contended for the
     interpreter lock, which made a 2-thread grid about 20% slower than 1.
     """
-    ds = load_experiment_dataset(config)
+    ds = load_dataset(config.dataset_path, config.dataset_format, config.label_column,
+                      config.header, config.label_map)
     name = config.dataset_name or Path(config.dataset_path).stem
     train, test = train_test_split(ds, config.train_fraction, config.split_seed)
     k = ds.n_classes

@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
-from .criteria import CriterionSpec
+from .criteria import CriterionSpec, _check_type
 from .tree import (Tree, TreeParams, _json, fit, predict, predict_batch, tree_from_dict,
                    tree_stats, tree_to_dict)
 
@@ -30,6 +31,9 @@ class ForestParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_trees", "rng_seed"):
+            _check_type(name, getattr(self, name), Integral)
+        _check_type("bootstrap", self.bootstrap, bool)
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
 
@@ -66,7 +70,7 @@ def fit_forest(features, labels, params: ForestParams, n_classes: int | None = N
             Xi, yi = X[rows], y[rows]
         else:
             Xi, yi = X, y
-        return fit(Xi, yi, tp, dataset_size=n, n_classes=k, rng=rng)
+        return fit(Xi, yi, tp, n_classes=k, rng=rng)
 
     return Forest(params=params, n_classes=k, trees=[build(i) for i in range(params.n_trees)])
 

@@ -16,10 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
+from .criteria import _check_type
+from .tree import _from_json
+
 _ROW_SUM_TOL = 1e-9
+KINDS = ("uniform", "binary_cc", "mahalanobis")
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,7 @@ class TransitionMatrix:
         eta = np.asarray(self.eta, dtype=np.float64)
         if eta.ndim != 2 or eta.shape[0] != eta.shape[1] or eta.shape[0] < 2:
             raise ValueError("transition matrix must be square with K >= 2")
-        if np.any(eta < 0.0) or np.any(eta > 1.0):
+        if not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails both comparisons
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.any(np.abs(eta.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
             raise ValueError("every row must sum to 1")
@@ -82,8 +87,10 @@ class NoiseSpec:
     ridge: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "binary_cc", "mahalanobis"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
+        for name in ("eta", "rho_pos", "rho_neg", "ridge"):
+            _check_type(f"noise {name}", getattr(self, name), Real, optional=name == "ridge")
 
     def label(self) -> str:
         if self.kind == "uniform":
@@ -116,13 +123,7 @@ class NoiseSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseSpec":
-        return NoiseSpec(
-            kind=d["kind"],
-            eta=d.get("eta", 0.0),
-            rho_pos=d.get("rho_pos", 0.0),
-            rho_neg=d.get("rho_neg", 0.0),
-            ridge=d.get("ridge"),
-        )
+        return _from_json(NoiseSpec, d, "noise setting")
 
 
 def uniform_matrix(n_classes: int, eta: float) -> TransitionMatrix:

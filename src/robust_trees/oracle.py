@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .criteria import ClassHistogram, CriterionSpec, split_scores
-from .tree import SplitRule
 from .errors import EmptyHistogramError
 
 ORACLE_LOSSES = ("mse", "ce", "01", "mae", "gce", "ne")
@@ -224,7 +223,7 @@ class EarlyStopReport:
     """Outcome of exhaustively scoring every candidate split at one node."""
 
     halts: bool
-    witness: SplitRule | None
+    witness: tuple[int, float] | None  # (feature, threshold) of the best split
     best_value: float
     majority_condition: bool | None
 
@@ -274,7 +273,7 @@ def exhaustive_early_stop_check(
         value = float(split_scores(criterion, parent.counts, left.counts, dataset_size))
         if value > best_value:
             best_value = value
-            witness = SplitRule(f, thr)
+            witness = (f, thr)
         if criterion.is_conservative:
             eq = int(left.counts.max()) + int(right.counts.max()) == int(parent.counts.max())
             condition = condition and eq

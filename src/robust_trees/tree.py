@@ -39,17 +39,12 @@ walk from the root; batch prediction moves all rows down one depth per step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
-from .criteria import CriterionSpec, split_scores
-
-
-@dataclass(frozen=True)
-class SplitRule:
-    feature: int
-    threshold: float
+from .criteria import CriterionSpec, _check_type, split_scores
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,10 @@ class TreeParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_depth", "feature_subsample"):
+            _check_type(name, getattr(self, name), Integral, optional=True)
+        for name in ("min_samples_leaf", "rng_seed"):
+            _check_type(name, getattr(self, name), Integral)
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be positive when set")
         if self.min_samples_leaf < 1:
@@ -237,17 +236,16 @@ def fit(
     features,
     labels,
     params: TreeParams,
-    dataset_size: int | None = None,
     n_classes: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tree:
     """Grow a tree on (features, labels).
 
-    ``dataset_size`` anchors the impurity weights W_S = |S| / dataset_size
-    and defaults to the number of rows.  ``n_classes`` widens the label space
-    beyond max(labels) + 1 (needed for resampled data); ``rng`` overrides the
-    generator seeded by ``params.rng_seed`` and is consumed only when
-    per-split feature subsampling is active.
+    A node S weighs W_S = |S| / n in the impurities, n being the number of
+    rows given.  ``n_classes`` widens the label space beyond max(labels) + 1
+    (needed for resampled data); ``rng`` overrides the generator seeded by
+    ``params.rng_seed`` and is consumed only when per-split feature
+    subsampling is active.
     """
     X = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -263,8 +261,6 @@ def fit(
     if y.max() >= k:
         raise ValueError("labels out of range for n_classes")
     n, d = X.shape
-    if dataset_size is None:
-        dataset_size = n
     spec = params.criterion
     subsample = params.feature_subsample
     if subsample is not None and subsample > d:
@@ -298,11 +294,10 @@ def fit(
                         else (bins.first[feats + 1] - bins.first[feats]).sum()),
                     idx.size, width):
                 found = _best_split_hist(spec, bins, idx, feats, y[idx], counts,
-                                         dataset_size, params.min_samples_leaf)
+                                         n, params.min_samples_leaf)
             else:
                 Xn = X[idx] if feats is None else X[idx[:, None], feats[None, :]]
-                found = _best_split(spec, Xn, y[idx], counts, dataset_size,
-                                    params.min_samples_leaf)
+                found = _best_split(spec, Xn, y[idx], counts, n, params.min_samples_leaf)
             if found is not None and found[0] > spec.halting_slack:
                 local = found[1]
                 split = (int(feats[local]) if feats is not None else local, float(found[2]))
@@ -392,6 +387,18 @@ def _json(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise _wrong_json(value, kind, what)
     return value
+
+
+def _from_json(cls, data, what: str):
+    """``cls(**data)`` for a JSON object keyed by the dataclass ``cls``'s fields; a
+    non-object, an unknown key or a missing required one raises ``ValueError``."""
+    for key in _json(data, dict, what):
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    for f in fields(cls):
+        if f.default is f.default_factory is MISSING and f.name not in data:
+            raise ValueError(f"{what} is missing key {f.name!r}")
+    return cls(**data)
 
 
 def tree_from_dict(data: dict) -> Tree:

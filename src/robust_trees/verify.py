@@ -1,8 +1,7 @@
 """Self-check suites pairing every closed form with its brute-force oracle.
 
 Each suite returns a list of named checks; the ``verify`` CLI command prints
-them as a table and fails if any check fails.  ``inject_fault`` deliberately
-corrupts one comparison so the failure path itself can be exercised.
+them as a table and fails if any check fails.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ def _random_histogram(rng: np.random.Generator, n_classes: int) -> ClassHistogra
     return ClassHistogram(counts)
 
 
-def impurity_suite(seed: int = 0, n_per_criterion: int = 40,
-                   inject_fault: bool = False) -> list[CheckResult]:
+def impurity_suite(seed: int = 0, n_per_criterion: int = 40) -> list[CheckResult]:
     """Closed-form impurities vs grid minimization of the defining risks."""
     rng = np.random.default_rng(seed)
     grid = GridSpec()
@@ -61,11 +59,9 @@ def impurity_suite(seed: int = 0, n_per_criterion: int = 40,
     for name, spec, loss, kw in pairs:
         worst = 0.0
         worst_counts = None
-        for i in range(n_per_criterion):
+        for _ in range(n_per_criterion):
             hist = _random_histogram(rng, int(rng.integers(2, 6)))
             closed = impurity(spec, hist, hist.total).value
-            if inject_fault and i == 0 and name == "gini/mse":
-                closed += 1e-3
             gap = abs(closed - brute_force_impurity(loss, hist, grid, **kw))
             if gap > worst:
                 worst, worst_counts = gap, hist.counts.tolist()
@@ -121,8 +117,7 @@ def early_stop_instances(seed: int = 0, count: int = 50):
     return instances[:count]
 
 
-def early_stop_suite(seed: int = 0, count: int = 50,
-                     inject_fault: bool = False) -> list[CheckResult]:
+def early_stop_suite(seed: int = 0, count: int = 50) -> list[CheckResult]:
     """Tree halting vs exhaustive split enumeration on small instances."""
     mis = CriterionSpec("misclassification")
     ent = CriterionSpec("entropy")
@@ -132,8 +127,7 @@ def early_stop_suite(seed: int = 0, count: int = 50,
     for X, y in early_stop_instances(seed, count):
         report = exhaustive_early_stop_check(X, y, mis)
         tree_halts = len(fit(X, y, TreeParams(mis)).feature) == 1
-        oracle_halts = report.halts if not inject_fault else not report.halts
-        if tree_halts != oracle_halts:
+        if tree_halts != report.halts:
             mis_disagree += 1
         if report.majority_condition != report.halts:
             condition_disagree += 1
@@ -152,8 +146,7 @@ def early_stop_suite(seed: int = 0, count: int = 50,
     ]
 
 
-def hoeffding_suite(seed: int = 0, trials: int = 10_000,
-                    inject_fault: bool = False) -> list[CheckResult]:
+def hoeffding_suite(seed: int = 0, trials: int = 10_000) -> list[CheckResult]:
     """Monte Carlo majority preservation vs the closed-form lower bound."""
     rng = np.random.default_rng(seed)
     results = []
@@ -169,8 +162,6 @@ def hoeffding_suite(seed: int = 0, trials: int = 10_000,
                 p = counts / n_real
                 bound = hoeffding_bound(p, eta, n_real)
                 emp = majority_preservation_mc(p, eta, n_real, trials, rng_seed=rng)
-                if inject_fault:
-                    emp -= 0.5
                 stderr = math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials)
                 ok = emp >= bound - 3.0 * stderr
                 results.append(CheckResult(
@@ -180,7 +171,7 @@ def hoeffding_suite(seed: int = 0, trials: int = 10_000,
     return results
 
 
-def noise_suite(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
+def noise_suite(seed: int = 0) -> list[CheckResult]:
     """Corruption statistics and the class-similarity transition matrix."""
     rng = np.random.default_rng(seed)
     results = []
@@ -191,8 +182,6 @@ def noise_suite(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
     y = rng.integers(0, k, n)
     noisy = corrupt(y, uniform_matrix(k, eta), rng)
     flip = float((noisy != y).mean())
-    if inject_fault:
-        flip += 0.1
     tol = 3.0 * math.sqrt(eta * (1.0 - eta) / n)
     results.append(CheckResult(
         "uniform flip fraction", abs(flip - eta) <= tol,
@@ -231,13 +220,13 @@ def noise_suite(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
     return results
 
 
-def run_suite(suite: str, seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     if suite == "impurity":
-        return impurity_suite(seed, inject_fault=inject_fault)
+        return impurity_suite(seed)
     if suite == "early-stop":
-        return early_stop_suite(seed, inject_fault=inject_fault)
+        return early_stop_suite(seed)
     if suite == "hoeffding":
-        return hoeffding_suite(seed, inject_fault=inject_fault)
+        return hoeffding_suite(seed)
     if suite == "noise":
-        return noise_suite(seed, inject_fault=inject_fault)
+        return noise_suite(seed)
     raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")

@@ -1,10 +1,12 @@
 """Command-line interface: flags, exit codes, JSON status lines, file outputs."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robust_trees import verify
 from robust_trees.cli import main
 from robust_trees.tree import load_tree, predict_batch
 from synth import gaussian_blobs, write_csv
@@ -195,6 +197,16 @@ class TestPredict:
         ({"params": {"n_trees": 1, "bootstrap": True,
                      "criterion": {"kind": "ne", "lambda": False}}, "K": 2, "trees": []},
          "criterion lambda must be a real number, got bool"),
+        *(({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"},
+                       **params}, "K": 2, "trees": []}, message)
+          for params, message in [
+              ({"max_depth": "3"}, "max_depth must be an integer, got str"),
+              ({"n_trees": "2"}, "n_trees must be an integer, got str"),
+              ({"min_samples_leaf": None}, "min_samples_leaf must be an integer, got NoneType"),
+              ({"feature_subsample": 1.5}, "feature_subsample must be an integer, got float"),
+              ({"rng_seed": "x"}, "rng_seed must be an integer, got str"),
+              ({"bootstrap": "no"}, "bootstrap must be true or false, got str"),
+          ]),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, blob_csv, capsys, content, message):
         model = tmp_path / "model.json"
@@ -233,8 +245,16 @@ class TestTune:
         assert status["best_lambda"] in (0.0, 0.5, 1.0)
         assert set(status["scores"]) == {"0", "0.5", "1"}
 
+    def test_bad_validation_fraction_exits_1(self, blob_csv, capsys):
+        code = main(["tune", "--data", str(blob_csv), "--format", "csv",
+                     "--validation-fraction", "1.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: validation_fraction must lie in (0, 1), got 1.5\n"
+
 
 def _bench_config(tmp_path, data_path, reps=2, **overrides):
+    """Write a bench config; an override of None drops that key."""
     config = {
         "dataset": {"path": str(data_path), "format": "csv", "label_column": "label"},
         "split": {"train_fraction": 0.8, "seed": 0},
@@ -245,6 +265,7 @@ def _bench_config(tmp_path, data_path, reps=2, **overrides):
         "seed": 11,
         **overrides,
     }
+    config = {key: value for key, value in config.items() if value is not None}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
@@ -284,10 +305,31 @@ class TestBench:
         ({"model": {"min_samples_leaf": 0}},
          "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
          " min_samples_leaf must be >= 1"),
+        ({"model": {"max_depth": "3"}},
+         "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
+         " max_depth must be an integer, got str"),
+        ({"model": {"kind": "forest", "n_trees": 2, "bootstrap": "no"}},
+         "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
+         " bootstrap must be true or false, got str"),
+        ({"model": {"max_dpeth": 2}}, "error: model has unknown key 'max_dpeth'"),
+        ({"model": "tree"}, "error: model must be a JSON object, got str"),
+        ({"noise": [{"kind": "uniform", "etaa": 0.1}]},
+         "error: noise setting has unknown key 'etaa'"),
+        ({"noise": [{"kind": "uniform", "eta": "0.1"}]},
+         "error: noise eta must be a real number, got str"),
+        ({"dataset": None}, "error: experiment config is missing key 'dataset'"),
+        ({"criteria": [{"q": 0.7}]}, "error: experiment config is missing key 'kind'"),
+        ({"criteria": {"kind": "entropy"}}, "error: criteria must be a JSON array, got dict"),
+        ({"replications": "2"}, "error: replications must be an integer, got str"),
+        ({"split": {"train_fraction": "0.5"}},
+         "error: train_fraction must be a real number, got str"),
     ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
-            "cell-value-error"])
+            "cell-value-error", "string-max-depth", "string-bootstrap", "unknown-model-key",
+            "model-not-object", "unknown-noise-key", "string-eta", "no-dataset",
+            "criterion-without-kind", "criteria-object", "string-replications",
+            "string-train-fraction"])
     def test_bad_config_exits_1(self, blob_csv, tmp_path, capsys, overrides, message):
-        config = _bench_config(tmp_path, blob_csv, criteria=[{"kind": "ane"}], **overrides)
+        config = _bench_config(tmp_path, blob_csv, **{"criteria": [{"kind": "ane"}], **overrides})
         code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -302,11 +344,29 @@ class TestVerify:
         assert status["failures"] == 0
         assert status["checks"] > 0
 
-    def test_fault_injection_fails(self, capsys):
-        code, status, err = run_cli_full(capsys, "verify", "--suite", "impurity",
-                                         "--inject-fault")
-        assert code == 1 and status["failures"] >= 1
-        assert "FAIL" in err
+    def test_fault_injection_fails(self, capsys, monkeypatch):
+        # one fault per suite, planted on a name the suite calls
+        impurity, early_stop = verify.impurity, verify.exhaustive_early_stop_check
+
+        def shifted(*args):
+            value = impurity(*args)
+            return replace(value, value=value.value + 1e-3)
+
+        def flipped(*args):
+            report = early_stop(*args)
+            return replace(report, halts=not report.halts)
+
+        faults = [
+            ("impurity", "impurity", shifted),
+            ("early-stop", "exhaustive_early_stop_check", flipped),
+            ("hoeffding", "majority_preservation_mc", lambda *a, **kw: 0.0),
+            ("noise", "corrupt", lambda labels, matrix, seed: np.asarray(labels)),
+        ]
+        for suite, name, fault in faults:
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, name, fault)
+                code, status, err = run_cli_full(capsys, "verify", "--suite", suite)
+            assert code == 1 and status["failures"] >= 1 and "FAIL" in err, suite
 
     def test_table_goes_to_stderr(self, capsys):
         main(["verify", "--suite", "impurity", "--seed", "1"])

@@ -1,6 +1,7 @@
 """Loaders, splits, lambda tuning, and the evaluation grid."""
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from robust_trees.dataeng import (
     apply_label_map,
     evaluate,
     load_csv,
+    load_dataset,
     load_libsvm,
     train_test_split,
     tune_lambda,
@@ -122,6 +124,16 @@ class TestLoadLibsvm:
         write_libsvm(path, X, y)
         ds = load_libsvm(path, n_features=X.shape[1])
         assert np.array_equal(ds.features, X)
+
+
+class TestLoadDataset:
+    def test_label_map_and_unknown_format(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("a,label\n0,x\n1,y\n2,z\n")
+        ds = load_dataset(path, "csv", label_map={"x": "xy", "y": "xy"})
+        assert ds.class_names == ("xy", "z") and ds.labels.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError, match="format must be one of"):
+            load_dataset(path, "json")
 
 
 class TestLabelMap:
@@ -293,6 +305,22 @@ class TestEvaluate:
         assert rec.criterion == "ane"
         assert rec.params.startswith("lambda=")
         assert float(rec.params.split("=")[1]) in (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+class TestExperimentConfig:
+    def test_shipped_configs_parse(self):
+        # parsing reads no data file, so every recipe is checked here
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert len(paths) >= 3
+        for path in paths:
+            config = ExperimentConfig.from_json(path)
+            assert config.criteria and config.noise, path.name
+
+    def test_header_must_be_true_or_false(self):
+        with pytest.raises(ValueError, match="header must be true or false, got str"):
+            ExperimentConfig(dataset_path="data.csv", dataset_format="csv",
+                             criteria=(CriterionSetting.from_dict({"kind": "gini"}),),
+                             noise=(NoiseSpec("uniform"),), header="no")
 
 
 class TestAggregation:

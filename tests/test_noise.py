@@ -50,6 +50,15 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[1.2, -0.2], [0.0, 1.0]]))  # out of [0,1]
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_nan_rejected(self, row, tmp_path):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            TransitionMatrix(np.array([row, [0.0, 1.0]]))
+        path = tmp_path / "matrix.csv"
+        path.write_text(",".join(map(str, row)) + "\n0,1\n")
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            TransitionMatrix.from_csv(path)
+
     def test_diagonal_dominance_flag(self):
         assert uniform_matrix(4, 0.2).diagonally_dominant()
         flat = TransitionMatrix(np.full((2, 2), 0.5))

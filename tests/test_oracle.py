@@ -12,7 +12,7 @@ from robust_trees.criteria import (
     mu_from_lambda,
     optimal_constant_prediction,
 )
-from robust_trees.tree import SplitRule, TreeParams, fit
+from robust_trees.tree import TreeParams, fit
 from robust_trees.oracle import (
     GridSpec,
     brute_force_impurity,
@@ -132,7 +132,7 @@ class TestEarlyStopOracle:
         report = exhaustive_early_stop_check(X, y, CriterionSpec("entropy"))
         assert not report.halts
         assert report.best_value == pytest.approx(0.030575011695625515, abs=1e-15)
-        assert report.witness == SplitRule(0, 0.5)
+        assert report.witness == (0, 0.5)
 
     def test_pure_node_halts_for_every_criterion(self):
         X = np.arange(6, dtype=float)[:, None]
@@ -163,7 +163,7 @@ class TestEarlyStopOracle:
                 assert (len(tree.feature) == 1) == report.halts, f"seed {seed}, instance {i}"
                 if report.halts:
                     continue
-                root = SplitRule(int(tree.feature[0]), float(tree.threshold[0]))
+                root = (int(tree.feature[0]), float(tree.threshold[0]))
                 assert root == report.witness, f"seed {seed}, instance {i}"
 
     def test_refuses_large_instances(self):
