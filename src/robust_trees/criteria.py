@@ -61,6 +61,13 @@ def _check_type(what: str, value, kind: type, optional: bool = False) -> None:
         raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
 
 
+def _check_keys(what: str, data: dict, keys) -> None:
+    """Raise ``ValueError`` naming ``what`` and the first key of ``data`` not in ``keys``."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}")
+
+
 @dataclass(frozen=True)
 class CriterionSpec:
     """A split criterion plus its parameter, if it has one.
@@ -135,6 +142,9 @@ class CriterionSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "CriterionSpec":
+        """Read the object :meth:`to_dict` writes; an unknown key raises
+        ``ValueError`` and a missing ``kind`` ``KeyError``."""
+        _check_keys("criterion", d, ("kind", "q", "lambda"))
         return CriterionSpec(kind=d["kind"], q=d.get("q"), lam=d.get("lambda"))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriterionSpec, _check_type
+from .criteria import CriterionSpec, _check_keys, _check_type
 from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
 from .noise import NoiseSpec, corrupt
 from .tree import (Tree, TreeParams, _from_json, _json, fit, predict_batch, save_tree,
@@ -350,6 +350,7 @@ class CriterionSetting:
     @staticmethod
     def from_dict(d: dict) -> "CriterionSetting":
         if _json(d, dict, "criterion")["kind"] == "ane":
+            _check_keys("criterion", d, ("kind",))  # lambda is tuned, never given
             return CriterionSetting(name="ane", adaptive=True)
         spec = CriterionSpec.from_dict(d)
         return CriterionSetting(name=spec.kind, spec=spec)
@@ -409,9 +410,13 @@ class ExperimentConfig:
         wrong JSON type, raises ``ValueError`` naming it."""
         try:
             ds = _json(_json(d, dict, "experiment config")["dataset"], dict, "dataset")
-            path = Path(ds["path"])
+            path = Path(_json(ds["path"], str, "dataset path"))
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
+            label_map = ds.get("label_map")
+            if label_map is not None:
+                for name in _json(label_map, dict, "label_map").values():
+                    _json(name, str, "label_map value")
             split = _json(d.get("split", {}), dict, "split")
             tuning = _json(d.get("tuning", {}), dict, "tuning")
             return ExperimentConfig(
@@ -419,7 +424,7 @@ class ExperimentConfig:
                 dataset_format=ds["format"],
                 label_column=ds.get("label_column", "label"),
                 header=ds.get("header", True),
-                label_map=ds.get("label_map"),
+                label_map=label_map,
                 dataset_name=ds.get("name"),
                 criteria=tuple(CriterionSetting.from_dict(c)
                                for c in _json(d["criteria"], list, "criteria")),

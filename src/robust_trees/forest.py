@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .criteria import CriterionSpec, _check_type
+from .criteria import CriterionSpec, _check_keys, _check_type
 from .tree import (Tree, TreeParams, _json, fit, predict, predict_batch, tree_from_dict,
                    tree_stats, tree_to_dict)
 
@@ -130,23 +130,27 @@ def forest_to_dict(forest: Forest) -> dict:
     }
 
 
+# the keys of a forest model's params, as forest_to_dict writes them
+_PARAMS_KEYS = ("n_trees", "bootstrap", "rng_seed", "criterion", "max_depth",
+                "min_samples_leaf", "feature_subsample")
+
+
 def forest_from_dict(data: dict) -> Forest:
-    """Build a forest from its JSON form; a malformed model raises ``ValueError``."""
+    """Build a forest from its JSON form; a malformed model, or an unknown
+    key in its params, raises ``ValueError``.  An optional param left out
+    takes the default of :class:`ForestParams` or :class:`TreeParams`."""
     _json(data, dict, "forest model")
     try:
         p = _json(data["params"], dict, "forest params")
-        tp = TreeParams(
-            criterion=CriterionSpec.from_dict(_json(p["criterion"], dict, "criterion")),
-            max_depth=p.get("max_depth"),
-            min_samples_leaf=p.get("min_samples_leaf", 1),
-            feature_subsample=p.get("feature_subsample"),
-        )
+        _check_keys("forest params", p, _PARAMS_KEYS)
+
+        def given(*keys):
+            return {key: p[key] for key in keys if key in p}
+
+        criterion = CriterionSpec.from_dict(_json(p["criterion"], dict, "criterion"))
         params = ForestParams(
-            tree_params=tp,
-            n_trees=p["n_trees"],
-            bootstrap=p["bootstrap"],
-            rng_seed=p.get("rng_seed", 0),
-        )
+            TreeParams(criterion, **given("max_depth", "min_samples_leaf", "feature_subsample")),
+            n_trees=p["n_trees"], bootstrap=p["bootstrap"], **given("rng_seed"))
         k, entries = _json(data["K"], int, "K"), _json(data["trees"], list, "trees")
     except KeyError as exc:
         raise ValueError(f"forest model is missing key {exc}") from None

@@ -9,21 +9,21 @@ score does not exceed the criterion's halting slack: exactly zero for
 conservative criteria, whose scores come from integer class counts, and
 1e-12 against float noise otherwise.
 
-Each node finds its best split in one of two exact ways, which list the
-same candidates in the same order (feature-major, ascending thresholds)
-and feed them to one ``split_scores`` call.  The sort search sorts the
-node's columns and sweeps class counts over the sorted rows.  The histogram
-search counts classes per bin with one ``bincount``, where a fit bins every
-column once on its distinct values.  Its candidates are the boundaries
-between consecutive bins that are nonempty in the node, which are exactly
-the sort's boundaries between distinct values, and its thresholds are the
-same midpoints of those values.  So the choice changes speed, never the
-tree.  A node counts bins when the candidate features' bins are few against
-its (row, feature) cells; a fit builds no bins when no node could, as on
-continuous columns.  Both searches lay the candidates' left class counts
-out class-major (K rows of candidates) and pass their ``.T`` view to
-``split_scores``, so its sums and maxima over the K classes run along the
-long candidate axis.
+A fit bins every column once on its distinct values and folds each row's
+label into its bin codes, as ``bin * K + label`` keys; every node's search
+reads its rows' keys.  Its candidates are the boundaries between
+consecutive bins that are nonempty in the node, which are the boundaries
+between the node's distinct values, and the thresholds are the midpoints
+of those values.  Only the counting of a node's keys takes one of two
+exact ways: one ``bincount`` when the candidate features' bins are few
+against the node's (row, feature) cells, as on one-hot columns, and
+otherwise a sort of each feature's keys with a running class-count sweep
+over the sorted rows, as on continuous columns.  Both list the same
+candidates in the same order (feature-major, ascending thresholds) and lay
+their left class counts out class-major (K rows of candidates) for one
+``split_scores`` call, whose sums and maxima over the K classes then run
+along the long candidate axis.  So the way of counting changes speed,
+never the tree.
 
 Rows with a feature value equal to a split threshold route left.
 
@@ -44,7 +44,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .criteria import CriterionSpec, _check_type, split_scores
+from .criteria import CriterionSpec, _check_keys, _check_type, split_scores
 
 
 @dataclass(frozen=True)
@@ -102,134 +102,126 @@ class Tree:
                               self.left.tolist(), self.right.tolist()))
 
 
-def _best_split(
-    spec: CriterionSpec,
-    Xn: np.ndarray,
-    yn: np.ndarray,
-    parent_counts: np.ndarray,
-    dataset_size: int,
-    min_samples_leaf: int,
-):
-    """Best (score, local feature index, threshold) at a node, or None.
-
-    One column-wise sort of the node's submatrix marks the valid boundaries
-    (between distinct values, leaving ``min_samples_leaf`` rows per side);
-    one cumulative class-count sweep, gathered at those boundaries only,
-    feeds one :func:`split_scores` call.  Candidates are listed feature-major
-    with ascending thresholds, so the first argmax takes the lowest feature
-    index, then the lowest threshold.
-    """
-    n, d = Xn.shape
-    k = parent_counts.shape[0]
-    order = np.argsort(Xn.T, axis=1)  # one row per feature
-    vs = np.take(Xn, order * d + np.arange(d)[:, None])  # Xn[order[f, i], f]
-    # valid[f, i]: a threshold between sorted rows i and i + 1 of feature f
-    valid = np.zeros((d, n), dtype=bool)
-    np.not_equal(vs[:, 1:], vs[:, :-1], out=valid[:, :-1])
-    if min_samples_leaf > 1:
-        sizes = np.arange(1, n + 1)
-        valid &= (sizes >= min_samples_leaf) & (n - sizes >= min_samples_leaf)
-    at = np.flatnonzero(valid)
-    if at.size == 0:
-        return None
-    onehot = yn[order] == np.arange(k)[:, None, None]  # class-major: K x d x n
-    # 32-bit running counts halve the memory the sweep writes; every count fits
-    cum = onehot.cumsum(axis=2, dtype=np.int32 if n < 2**31 else np.int64)
-    left = np.take(cum.reshape(k, d * n), at, axis=1)
-    scores = split_scores(spec, parent_counts, left.T, dataset_size)
-    best = int(np.argmax(scores))
-    f, i = divmod(int(at[best]), n)
-    return float(scores[best]), f, (vs[f, i] + vs[f, i + 1]) / 2.0
-
-
 @dataclass(frozen=True)
 class _Bins:
-    """Every column of a feature matrix binned on its distinct values.
+    """Every column of a feature matrix binned on its distinct values, with
+    each row's label folded in.
 
     Bins are numbered feature-major with ascending values: feature f owns
-    the bins from ``first[f]`` up to ``first[f + 1]``, ``values`` holds each
-    bin's value, and ``codes[r, f]`` is the bin of row r's value of feature f.
+    the bins from ``first[f]`` up to ``first[f + 1]`` and ``values`` holds
+    each bin's value.  ``keys[r, f]`` is ``bin * K + label`` for the bin of
+    row r's value of feature f and row r's label.
     """
 
-    codes: np.ndarray  # n x d int32, or intp for 2**31 bins or more
+    keys: np.ndarray  # n x d int32, or intp when first[d] * K >= 2**31
     values: np.ndarray  # float64, one per bin
     first: np.ndarray  # d + 1 intp offsets; first[d] is the bin count
 
 
-def _bin_columns(X: np.ndarray, per_node: int | None = None) -> _Bins | None:
-    """Bin the columns of X.  With ``per_node`` given, return None instead
-    when no node searching that many of the columns can pass the gate of
-    :func:`_use_histogram`; the distinct values tell, before any code is
-    built.  Columns are handled one at a time, so the scratch memory is a
-    few columns, and the codes are 32-bit whenever the bin count allows."""
+def _bin_columns(X: np.ndarray, y: np.ndarray, k: int) -> _Bins:
+    """Bin the columns of X and fold in the labels y (< k).  Columns are
+    binned one at a time, so the scratch memory is a few columns, and the
+    keys are 32-bit whenever the key count allows: sorting 32-bit keys is
+    what keeps the sort count fast."""
     n, d = X.shape
     values = [np.unique(col) for col in X.T]
-    nbins = np.array([v.size for v in values], dtype=np.intp)
-    if per_node is not None and not _use_histogram(
-            int(np.sort(nbins)[:per_node].sum()), n, per_node):
-        return None
-    first = np.zeros(d + 1, dtype=np.intp)
-    np.cumsum(nbins, out=first[1:])
-    codes = np.empty((n, d), dtype=np.int32 if first[-1] < 2**31 else np.intp)
+    # each column's bin codes (< n) first, then the keys
+    keys = np.empty((n, d), dtype=np.int32 if n < 2**31 else np.intp)
     for f, (col, v) in enumerate(zip(X.T, values)):
-        codes[:, f] = np.searchsorted(v, col)
-    codes += first[:-1]
-    return _Bins(codes, np.concatenate(values), first)
+        # a lookup among a few values is cheap; among many, an argsort is
+        # (a skewed low-cardinality column is argsort's slow case)
+        keys[:, f] = (np.searchsorted(v, col) if 4 * v.size <= n
+                      else np.unique(col, return_inverse=True)[1])
+    first = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum([v.size for v in values], out=first[1:])
+    if int(first[-1]) * k >= 2**31:
+        keys = keys.astype(np.intp)
+    keys += first[:-1]
+    keys *= k
+    keys += y[:, None]
+    return _Bins(keys, np.concatenate(values), first)
 
 
 def _use_histogram(bins: int, rows: int, features: int) -> bool:
-    """Whether a node's histogram search beats its sort: the candidate
-    features' bins are few against the (row, feature) cells it counts."""
+    """Whether a node counts its keys with one ``bincount`` rather than a
+    sort: the candidate features' bins are few against the (row, feature)
+    cells it counts."""
     return 4 * bins <= rows * features
 
 
-def _best_split_hist(
+def _best_split(
     spec: CriterionSpec,
     bins: _Bins,
     idx: np.ndarray,
     feats: np.ndarray | None,
-    yn: np.ndarray,
     parent_counts: np.ndarray,
     dataset_size: int,
     min_samples_leaf: int,
 ):
-    """:func:`_best_split` from per-bin class counts, with identical results.
+    """Best (score, feature, threshold) at a node, or None.
 
-    One ``bincount`` over ``bin * K + label`` of the node's rows ``idx`` and
-    candidate features ``feats`` (all when None) counts the classes per bin.
-    The candidates are the boundaries between consecutive nonempty bins of a
-    feature, which are the sort path's real boundaries; the left counts are
-    a cumulative sum over the nonempty bins less the parent counts of the
-    features before.  Order, thresholds and scores equal the sort path's.
+    The node's rows ``idx`` and candidate features ``feats`` (all when None)
+    select its keys, and :func:`_use_histogram` picks how to count them (see
+    the module docstring).  Candidates leave ``min_samples_leaf`` rows per
+    side and are listed feature-major with ascending thresholds, so the
+    first argmax takes the lowest feature index, then the lowest threshold.
     """
     k = parent_counts.shape[0]
     if feats is None:
-        codes, first = bins.codes[idx], bins.first
-    else:  # renumber the candidate features' bins from 0
+        key, first = bins.keys[idx], bins.first
+    else:  # the offsets of the candidate features' bins, numbered from 0
         first = np.zeros(feats.size + 1, dtype=np.intp)
         np.cumsum(bins.first[feats + 1] - bins.first[feats], out=first[1:])
-        codes = bins.codes[idx[:, None], feats] - (bins.first[feats] - first[:-1])
-    key = np.multiply(codes, k, dtype=np.intp)  # bin * K + label, in 64 bits
-    key += yn[:, None]
-    hist = np.bincount(key.ravel(), minlength=int(first[-1]) * k).reshape(-1, k)
-    full = np.flatnonzero(hist.any(axis=1))  # nonempty bins, feature-major
-    owner = np.searchsorted(first, full, side="right") - 1
-    left = hist[full].cumsum(axis=0) - owner[:, None] * parent_counts
-    valid = owner[:-1] == owner[1:]  # a boundary after nonempty bin i
+        key = bins.keys[idx[:, None], feats]
+    n, d = key.shape
+    counted = _use_histogram(int(first[-1]), n, d)
+    if counted:
+        if feats is not None:  # renumber the bins from 0, as first does
+            shift = bins.first[feats] - first[:-1]
+            key -= (shift * k).astype(key.dtype)
+        hist = np.bincount(key.ravel(), minlength=int(first[-1]) * k).reshape(-1, k)
+        seq = np.flatnonzero(hist.any(axis=1))  # nonempty bins, feature-major
+        owner = np.searchsorted(first, seq, side="right") - 1
+        # row i: the left counts of a boundary after nonempty bin i
+        left = hist[seq].cumsum(axis=0) - owner[:, None] * parent_counts
+        valid = owner[:-1] == owner[1:]
+        if min_samples_leaf > 1:
+            sizes = left[:-1].sum(axis=1)
+    else:
+        key = np.ascontiguousarray(key.T)  # one row per feature
+        key.sort(axis=1)
+        seq = key // k  # the bins of the sorted rows
+        # valid[f, i]: a boundary between sorted rows i and i + 1 of feature f
+        valid = np.zeros((d, n), dtype=bool)
+        np.not_equal(seq[:, 1:], seq[:, :-1], out=valid[:, :-1])
+        if min_samples_leaf > 1:
+            sizes = np.arange(1, n + 1)
     if min_samples_leaf > 1:
-        sizes = left[:-1].sum(axis=1)
-        valid &= (sizes >= min_samples_leaf) & (idx.size - sizes >= min_samples_leaf)
+        valid &= (sizes >= min_samples_leaf) & (n - sizes >= min_samples_leaf)
     at = np.flatnonzero(valid)
     if at.size == 0:
         return None
-    scores = split_scores(spec, parent_counts, np.ascontiguousarray(left[at].T).T,
-                          dataset_size)
+    if counted:
+        left = np.ascontiguousarray(left[at].T)
+    else:
+        onehot = key - seq * k == np.arange(k)[:, None, None]  # class-major: K x d x n
+        # 32-bit running counts halve the memory the sweep writes; every count fits
+        cum = onehot.cumsum(axis=2, dtype=np.int32 if n < 2**31 else np.int64)
+        left = np.take(cum.reshape(k, d * n), at, axis=1)
+        seq = seq.ravel()
+    scores = split_scores(spec, parent_counts, left.T, dataset_size)
     best = int(np.argmax(scores))
     i = int(at[best])
-    f = int(owner[i])
-    shift = bins.first[f if feats is None else feats[f]] - first[f]
-    return float(scores[best]), f, (bins.values[full[i] + shift]
-                                    + bins.values[full[i + 1] + shift]) / 2.0
+    lo, hi = seq[i], seq[i + 1]
+    if counted:
+        f = int(owner[i])
+        if feats is not None:  # back to the fit's bin numbers
+            lo, hi = lo + shift[f], hi + shift[f]
+    else:
+        f = i // n
+    if feats is not None:
+        f = int(feats[f])
+    return float(scores[best]), f, float((bins.values[lo] + bins.values[hi]) / 2.0)
 
 
 def fit(
@@ -267,7 +259,7 @@ def fit(
         raise ValueError("feature_subsample cannot exceed the feature count")
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
-    bins = _bin_columns(X, subsample or d)
+    bins = _bin_columns(X, y, k)
 
     # one entry per node, appended in preorder: [feature, threshold, left, right, counts]
     nodes: list[list] = []
@@ -288,19 +280,9 @@ def fit(
             feats = None
             if subsample is not None and subsample < d:
                 feats = np.sort(rng.choice(d, size=subsample, replace=False))
-            width = d if feats is None else feats.size
-            if bins is not None and _use_histogram(
-                    int(bins.first[-1] if feats is None
-                        else (bins.first[feats + 1] - bins.first[feats]).sum()),
-                    idx.size, width):
-                found = _best_split_hist(spec, bins, idx, feats, y[idx], counts,
-                                         n, params.min_samples_leaf)
-            else:
-                Xn = X[idx] if feats is None else X[idx[:, None], feats[None, :]]
-                found = _best_split(spec, Xn, y[idx], counts, n, params.min_samples_leaf)
+            found = _best_split(spec, bins, idx, feats, counts, n, params.min_samples_leaf)
             if found is not None and found[0] > spec.halting_slack:
-                local = found[1]
-                split = (int(feats[local]) if feats is not None else local, float(found[2]))
+                split = found[1:]
 
         nid = len(nodes)
         if parent >= 0:
@@ -374,7 +356,7 @@ def tree_to_dict(tree: Tree) -> dict:
     return {"criterion": tree.criterion.to_dict(), "K": tree.n_classes, "nodes": nodes}
 
 
-_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
 def _wrong_json(value, kind: type, what: str) -> ValueError:
@@ -392,9 +374,7 @@ def _json(value, kind: type, what: str):
 def _from_json(cls, data, what: str):
     """``cls(**data)`` for a JSON object keyed by the dataclass ``cls``'s fields; a
     non-object, an unknown key or a missing required one raises ``ValueError``."""
-    for key in _json(data, dict, what):
-        if key not in cls.__dataclass_fields__:
-            raise ValueError(f"{what} has unknown key {key!r}")
+    _check_keys(what, _json(data, dict, what), cls.__dataclass_fields__)
     for f in fields(cls):
         if f.default is f.default_factory is MISSING and f.name not in data:
             raise ValueError(f"{what} is missing key {f.name!r}")

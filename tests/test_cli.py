@@ -217,6 +217,24 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("content, message", [
+        ({"criterion": {"kind": "gini", "lamda": 0.5}, "K": 2,
+          "nodes": [{"kind": "leaf", "counts": [1, 1]}]}, "criterion has unknown key 'lamda'"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"},
+                     "max_dpeth": 2}, "K": 2, "trees": []},
+         "forest params has unknown key 'max_dpeth'"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini", "qq": 1}},
+          "K": 2, "trees": []}, "criterion has unknown key 'qq'"),
+    ], ids=["tree-criterion", "forest-params", "forest-criterion"])
+    def test_unknown_key_exits_1(self, tmp_path, blob_csv, capsys, content, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(content))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestNoiseCommand:
     def test_matrix_and_corrupted_output(self, blob_csv, tmp_path, capsys):
@@ -323,11 +341,22 @@ class TestBench:
         ({"replications": "2"}, "error: replications must be an integer, got str"),
         ({"split": {"train_fraction": "0.5"}},
          "error: train_fraction must be a real number, got str"),
+        ({"criteria": [{"kind": "gini", "lamda": 0.5}]},
+         "error: criterion has unknown key 'lamda'"),
+        ({"criteria": [{"kind": "ane", "lambda": 0.5}]},
+         "error: criterion has unknown key 'lambda'"),
+        ({"dataset": {"path": 5, "format": "csv"}},
+         "error: dataset path must be a JSON string, got int"),
+        ({"dataset": {"path": "x.csv", "format": "csv", "label_map": ["x"]}},
+         "error: label_map must be a JSON object, got list"),
+        ({"dataset": {"path": "x.csv", "format": "csv", "label_map": {"a": ["b"]}}},
+         "error: label_map value must be a JSON string, got list"),
     ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
             "cell-value-error", "string-max-depth", "string-bootstrap", "unknown-model-key",
             "model-not-object", "unknown-noise-key", "string-eta", "no-dataset",
             "criterion-without-kind", "criteria-object", "string-replications",
-            "string-train-fraction"])
+            "string-train-fraction", "unknown-criterion-key", "ane-with-lambda",
+            "numeric-path", "list-label-map", "list-label-map-value"])
     def test_bad_config_exits_1(self, blob_csv, tmp_path, capsys, overrides, message):
         config = _bench_config(tmp_path, blob_csv, **{"criteria": [{"kind": "ane"}], **overrides})
         code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])
