@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import EmptyHistogramError, PartitionError
+from .errors import EmptyHistogramError, PartitionError, _check_type, _read
 
 KINDS = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 
@@ -49,23 +49,8 @@ KINDS = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 # reduce to integer arithmetic on class counts and are computed exactly.
 _CONSERVATIVE = ("misclassification", "mae")
 
-_TYPE_NAMES = {Real: "a real number", Integral: "an integer", bool: "true or false"}
-
-
-def _check_type(what: str, value, kind: type, optional: bool = False) -> None:
-    """Raise ``ValueError`` naming ``what`` unless ``value`` is a ``kind`` (a key
-    of ``_TYPE_NAMES``), or None when ``optional``.  A bool is no number here."""
-    if value is None and optional:
-        return
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
-
-
-def _check_keys(what: str, data: dict, keys) -> None:
-    """Raise ``ValueError`` naming ``what`` and the first key of ``data`` not in ``keys``."""
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"{what} has unknown key {key!r}")
+# a criterion's JSON keys -> CriterionSpec fields
+_CRITERION_KEYS = {"kind": "kind", "q": "q", "lambda": "lam"}
 
 
 @dataclass(frozen=True)
@@ -81,8 +66,7 @@ class CriterionSpec:
     lam: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str):
-            raise ValueError(f"criterion kind must be a string, got {type(self.kind).__name__}")
+        _check_type("criterion kind", self.kind, str)
         if self.kind not in KINDS:
             raise ValueError(f"unknown criterion kind: {self.kind!r}")
         for name, value in (("q", self.q), ("lambda", self.lam)):
@@ -125,27 +109,27 @@ class CriterionSpec:
             return 1.0 / self.q
         raise ValueError(f"{self.label()} is not a conservative criterion")
 
-    def label(self) -> str:
+    def params_label(self) -> str:
+        """The parameter as ``q=...`` or ``lambda=...``; empty for other kinds."""
         if self.kind == "gce":
-            return f"gce(q={self.q:g})"
+            return f"q={self.q:g}"
         if self.kind == "ne":
-            return f"ne(lambda={self.lam:g})"
-        return self.kind
+            return f"lambda={self.lam:g}"
+        return ""
+
+    def label(self) -> str:
+        params = self.params_label()
+        return f"{self.kind}({params})" if params else self.kind
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.q is not None:
-            d["q"] = self.q
-        if self.lam is not None:
-            d["lambda"] = self.lam
-        return d
+        return {key: getattr(self, name) for key, name in _CRITERION_KEYS.items()
+                if getattr(self, name) is not None}
 
     @staticmethod
     def from_dict(d: dict) -> "CriterionSpec":
-        """Read the object :meth:`to_dict` writes; an unknown key raises
-        ``ValueError`` and a missing ``kind`` ``KeyError``."""
-        _check_keys("criterion", d, ("kind", "q", "lambda"))
-        return CriterionSpec(kind=d["kind"], q=d.get("q"), lam=d.get("lambda"))
+        """Read the object :meth:`to_dict` writes; a non-object, an unknown
+        key or a missing ``kind`` raises ``ValueError``."""
+        return CriterionSpec(**_read("criterion", d, _CRITERION_KEYS, ("kind",)))
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriterionSpec, _check_keys, _check_type
+from .criteria import CriterionSpec
+from .errors import _check_type, _from_json, _json, _read
 from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
 from .noise import NoiseSpec, corrupt
-from .tree import (Tree, TreeParams, _from_json, _json, fit, predict_batch, save_tree,
-                   tree_stats)
+from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
 
 RESULTS_HEADER = [
     "dataset", "criterion", "params", "noise", "seed",
@@ -340,29 +340,19 @@ def tune_lambda(
 
 @dataclass(frozen=True)
 class CriterionSetting:
-    """A criterion column of the experiment grid; ``adaptive`` means NE with
-    lambda tuned per replication."""
+    """A criterion column of the experiment grid; no ``spec`` (``ane``) means
+    NE with lambda tuned per replication."""
 
     name: str
     spec: CriterionSpec | None = None
-    adaptive: bool = False
 
     @staticmethod
     def from_dict(d: dict) -> "CriterionSetting":
-        if _json(d, dict, "criterion")["kind"] == "ane":
-            _check_keys("criterion", d, ("kind",))  # lambda is tuned, never given
-            return CriterionSetting(name="ane", adaptive=True)
+        if _json(d, dict, "criterion").get("kind") == "ane":
+            _read("criterion", d, ("kind",))  # lambda is tuned, never given
+            return CriterionSetting(name="ane")
         spec = CriterionSpec.from_dict(d)
         return CriterionSetting(name=spec.kind, spec=spec)
-
-    def params_label(self) -> str:
-        if self.spec is None:
-            return ""
-        if self.spec.kind == "gce":
-            return f"q={self.spec.q:g}"
-        if self.spec.kind == "ne":
-            return f"lambda={self.spec.lam:g}"
-        return ""
 
 
 @dataclass(frozen=True)
@@ -406,44 +396,45 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict, base_dir=None) -> "ExperimentConfig":
-        """Read a config's JSON object; a missing key, or a section of the
-        wrong JSON type, raises ``ValueError`` naming it."""
-        try:
-            ds = _json(_json(d, dict, "experiment config")["dataset"], dict, "dataset")
-            path = Path(_json(ds["path"], str, "dataset path"))
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            label_map = ds.get("label_map")
-            if label_map is not None:
-                for name in _json(label_map, dict, "label_map").values():
-                    _json(name, str, "label_map value")
-            split = _json(d.get("split", {}), dict, "split")
-            tuning = _json(d.get("tuning", {}), dict, "tuning")
-            return ExperimentConfig(
-                dataset_path=str(path),
-                dataset_format=ds["format"],
-                label_column=ds.get("label_column", "label"),
-                header=ds.get("header", True),
-                label_map=label_map,
-                dataset_name=ds.get("name"),
-                criteria=tuple(CriterionSetting.from_dict(c)
-                               for c in _json(d["criteria"], list, "criteria")),
-                noise=tuple(NoiseSpec.from_dict(nz) for nz in _json(d["noise"], list, "noise")),
-                model=_from_json(ModelConfig, d.get("model", {}), "model"),
-                train_fraction=split.get("train_fraction", 0.8),
-                split_seed=split.get("seed", 0),
-                replications=d.get("replications", 5),
-                seed=d.get("seed", 0),
-                tuning_grid=tuning.get("grid", DEFAULT_LAMBDA_GRID),
-                validation_fraction=tuning.get("validation_fraction", DEFAULT_VALIDATION_FRACTION),
-            )
-        except KeyError as exc:
-            raise ValueError(f"experiment config is missing key {exc}") from None
+        """Read a config's JSON object, its sections by :data:`_CONFIG_SECTIONS`;
+        an unknown or missing key, or a value of the wrong JSON type, raises
+        ``ValueError`` naming it.  Absent keys take the fields' defaults."""
+        config = _read("experiment config", d, (*_CONFIG_SECTIONS, "criteria", "noise", "model",
+                                                "replications", "seed"),
+                       ("dataset", "criteria", "noise"))
+        for section, (keys, required) in _CONFIG_SECTIONS.items():
+            if section in config:
+                config.update(_read(section, config.pop(section), keys, required))
+        path = Path(_json(config["dataset_path"], str, "dataset path"))
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        config["dataset_path"] = str(path)
+        if config.get("label_map") is not None:
+            for name in _json(config["label_map"], dict, "label_map").values():
+                _json(name, str, "label_map value")
+        config["criteria"] = tuple(CriterionSetting.from_dict(c)
+                                   for c in _json(config["criteria"], list, "criteria"))
+        config["noise"] = tuple(NoiseSpec.from_dict(nz)
+                                for nz in _json(config["noise"], list, "noise"))
+        if "model" in config:
+            config["model"] = _from_json(ModelConfig, config["model"], "model")
+        return ExperimentConfig(**config)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return ExperimentConfig.from_dict(json.load(fh), base_dir=Path(path).parent)
+
+
+# the sections of a config whose keys are ExperimentConfig fields: each
+# JSON key -> its field, and the required keys
+_CONFIG_SECTIONS = {
+    "dataset": ({"path": "dataset_path", "format": "dataset_format", "name": "dataset_name",
+                 "label_column": "label_column", "header": "header", "label_map": "label_map"},
+                ("path", "format")),
+    "split": ({"train_fraction": "train_fraction", "seed": "split_seed"}, ()),
+    "tuning": ({"grid": "tuning_grid", "validation_fraction": "validation_fraction"}, ()),
+}
 
 
 @dataclass(frozen=True)
@@ -512,7 +503,7 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
         corrupt_seed = np.random.SeedSequence((config.seed, ni, rep))
         noisy = corrupt(train.labels, transitions[ni], corrupt_seed)
         started = time.perf_counter()
-        if setting.adaptive:
+        if setting.spec is None:
             noisy_train = Dataset(train.features, noisy, train.class_names)
             best_lam, _ = tune_lambda(
                 noisy_train, config.tuning_grid, config.model,
@@ -520,10 +511,8 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
                 config.validation_fraction,
             )
             spec = CriterionSpec("ne", lam=best_lam)
-            params_label = f"lambda={best_lam:g}"
         else:
             spec = setting.spec
-            params_label = setting.params_label()
         fitted = _fit_model(config.model, spec, train.features, noisy, k,
                             _seed_int(config.seed, ni, rep, ci, 1))
         acc = accuracy_score(fitted, test.features, test.labels)
@@ -532,7 +521,7 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
         return ResultRecord(
             dataset=name,
             criterion=setting.name,
-            params=params_label,
+            params=spec.params_label(),
             noise=config.noise[ni].label(),
             seed=_seed_int(config.seed, ni, rep),
             accuracy=acc,

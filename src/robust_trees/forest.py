@@ -18,8 +18,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .criteria import CriterionSpec, _check_keys, _check_type
-from .tree import (Tree, TreeParams, _json, fit, predict, predict_batch, tree_from_dict,
+from .criteria import CriterionSpec
+from .errors import _check_type, _json, _read
+from .tree import (Tree, TreeParams, _fit_inputs, fit, predict, predict_batch, tree_from_dict,
                    tree_stats, tree_to_dict)
 
 
@@ -50,14 +51,8 @@ def fit_forest(features, labels, params: ForestParams, n_classes: int | None = N
 
     ``n_classes`` widens the label space beyond max(labels) + 1, as in ``fit``.
     """
-    X = np.ascontiguousarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("features must be a nonempty n x d matrix")
+    X, y, k = _fit_inputs(features, labels, n_classes)
     n, d = X.shape
-    k = max(2, int(y.max()) + 1) if n_classes is None else int(n_classes)
-    if y.max() >= k:
-        raise ValueError("labels out of range for n_classes")
     tp = params.tree_params
     if tp.feature_subsample is None:
         tp = replace(tp, feature_subsample=min(d, math.ceil(math.sqrt(d))))
@@ -113,53 +108,46 @@ def forest_stats(forest: Forest) -> dict:
     }
 
 
-def forest_to_dict(forest: Forest) -> dict:
-    tp = forest.params.tree_params
-    return {
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "bootstrap": forest.params.bootstrap,
-            "rng_seed": forest.params.rng_seed,
-            "criterion": tp.criterion.to_dict(),
-            "max_depth": tp.max_depth,
-            "min_samples_leaf": tp.min_samples_leaf,
-            "feature_subsample": tp.feature_subsample,
-        },
-        "K": forest.n_classes,
-        "trees": [tree_to_dict(t) for t in forest.trees],
-    }
-
-
-# the keys of a forest model's params, as forest_to_dict writes them
+# the keys of a forest model and of its params, in the order forest_to_dict
+# writes them; a param is a field of ForestParams if it has one, else of TreeParams
+_FOREST_KEYS = ("params", "K", "trees")
 _PARAMS_KEYS = ("n_trees", "bootstrap", "rng_seed", "criterion", "max_depth",
                 "min_samples_leaf", "feature_subsample")
+_OWN_PARAMS = ForestParams.__dataclass_fields__
+
+
+def forest_to_dict(forest: Forest) -> dict:
+    fp = forest.params
+    params = {key: getattr(fp if key in _OWN_PARAMS else fp.tree_params, key)
+              for key in _PARAMS_KEYS}
+    params["criterion"] = params["criterion"].to_dict()
+    return {"params": params, "K": forest.n_classes,
+            "trees": [tree_to_dict(t) for t in forest.trees]}
 
 
 def forest_from_dict(data: dict) -> Forest:
-    """Build a forest from its JSON form; a malformed model, or an unknown
-    key in its params, raises ``ValueError``.  An optional param left out
-    takes the default of :class:`ForestParams` or :class:`TreeParams`."""
-    _json(data, dict, "forest model")
-    try:
-        p = _json(data["params"], dict, "forest params")
-        _check_keys("forest params", p, _PARAMS_KEYS)
-
-        def given(*keys):
-            return {key: p[key] for key in keys if key in p}
-
-        criterion = CriterionSpec.from_dict(_json(p["criterion"], dict, "criterion"))
-        params = ForestParams(
-            TreeParams(criterion, **given("max_depth", "min_samples_leaf", "feature_subsample")),
-            n_trees=p["n_trees"], bootstrap=p["bootstrap"], **given("rng_seed"))
-        k, entries = _json(data["K"], int, "K"), _json(data["trees"], list, "trees")
-    except KeyError as exc:
-        raise ValueError(f"forest model is missing key {exc}") from None
+    """Build a forest from its JSON form; a malformed model, an unknown key,
+    or params that disagree with the trees (their number or criterion)
+    raise ``ValueError``.  An optional param left out takes the default of
+    :class:`ForestParams` or :class:`TreeParams`."""
+    model = _read("forest model", data, _FOREST_KEYS, _FOREST_KEYS)
+    p = _read("forest params", model["params"], _PARAMS_KEYS, ("n_trees", "bootstrap", "criterion"))
+    p["criterion"] = CriterionSpec.from_dict(p["criterion"])
+    own = {name: p.pop(name) for name in list(p) if name in _OWN_PARAMS}
+    params = ForestParams(TreeParams(**p), **own)
+    k, entries = _json(model["K"], int, "K"), _json(model["trees"], list, "trees")
+    if len(entries) != params.n_trees:
+        raise ValueError(f"forest params give n_trees {params.n_trees}, the model has"
+                         f" {len(entries)} trees")
     trees = []
     for i, entry in enumerate(entries):
         try:
             tree = tree_from_dict(entry)
             if tree.n_classes != k:
                 raise ValueError(f"K is {tree.n_classes}, the forest's K is {k}")
+            if tree.criterion != params.tree_params.criterion:
+                raise ValueError(f"criterion is {tree.criterion.label()}, the forest's is"
+                                 f" {params.tree_params.criterion.label()}")
         except ValueError as exc:
             raise ValueError(f"tree {i}: {exc}") from None
         trees.append(tree)

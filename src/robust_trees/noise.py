@@ -20,8 +20,7 @@ from numbers import Real
 
 import numpy as np
 
-from .criteria import _check_type
-from .tree import _from_json
+from .errors import _check_type, _from_json
 
 _ROW_SUM_TOL = 1e-9
 KINDS = ("uniform", "binary_cc", "mahalanobis")

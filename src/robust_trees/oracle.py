@@ -17,6 +17,7 @@ import numpy as np
 
 from .criteria import ClassHistogram, CriterionSpec, split_scores
 from .errors import EmptyHistogramError
+from .tree import _fit_inputs
 
 ORACLE_LOSSES = ("mse", "ce", "01", "mae", "gce", "ne")
 
@@ -229,10 +230,12 @@ class EarlyStopReport:
 
 
 def _candidate_splits(features: np.ndarray):
+    """(feature, threshold) pairs, with the tree learner's threshold rule."""
     for f in range(features.shape[1]):
-        values = np.unique(features[:, f])
+        values = np.unique(features[:, f]).tolist()
         for lo, hi in zip(values[:-1], values[1:]):
-            yield f, float(lo + hi) / 2.0
+            mid = (lo + hi) / 2.0
+            yield f, mid if lo <= mid < hi else lo
 
 
 def exhaustive_early_stop_check(
@@ -253,13 +256,9 @@ def exhaustive_early_stop_check(
     maximum class count equal to the sum of the children's maxima -- the
     stopping condition the tree learner must reproduce.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("features must be n x d with one label per row")
+    X, y, n_classes = _fit_inputs(features, labels, None)  # the tree learner's checks
     if X.shape[0] > max_samples:
         raise ValueError(f"refusing to enumerate more than {max_samples} samples")
-    n_classes = max(2, int(y.max()) + 1)
     parent = ClassHistogram.from_labels(y, n_classes)
     dataset_size = X.shape[0]
 

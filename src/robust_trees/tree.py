@@ -25,7 +25,10 @@ their left class counts out class-major (K rows of candidates) for one
 along the long candidate axis.  So the way of counting changes speed,
 never the tree.
 
-Rows with a feature value equal to a split threshold route left.
+A threshold is the midpoint of the two values around its boundary, or the
+lower value when the midpoint is not in [lower, upper) (it rounds onto the
+upper value between adjacent floats, and overflows between huge ones), so
+both children are nonempty.  Rows equal to a threshold route left.
 
 A fitted :class:`Tree` is five parallel arrays over its nodes: ``feature``
 (-1 at leaves), ``threshold``, ``left`` and ``right`` (-1 at leaves) and
@@ -39,12 +42,13 @@ walk from the root; batch prediction moves all rows down one depth per step.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .criteria import CriterionSpec, _check_keys, _check_type, split_scores
+from .criteria import CriterionSpec, split_scores
+from .errors import _check_type, _json, _read, _wrong_json
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,28 @@ def _best_split(
         f = i // n
     if feats is not None:
         f = int(feats[f])
-    return float(scores[best]), f, float((bins.values[lo] + bins.values[hi]) / 2.0)
+    lo, hi = float(bins.values[lo]), float(bins.values[hi])
+    mid = (lo + hi) / 2.0  # Python floats overflow to inf without a warning
+    return float(scores[best]), f, mid if lo <= mid < hi else lo
+
+
+def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """A fit's checked inputs: finite float64 features, int64 labels and the
+    class count K, ``n_classes`` if given, else max(2, max(labels) + 1)."""
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("features must be a nonempty n x d matrix")
+    if y.shape != (X.shape[0],):
+        raise ValueError("labels must be a vector with one entry per row")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    if y.min() < 0:
+        raise ValueError("labels must be nonnegative class indices")
+    k = max(2, int(y.max()) + 1) if n_classes is None else int(n_classes)
+    if y.max() >= k:
+        raise ValueError("labels out of range for n_classes")
+    return X, y, k
 
 
 def fit(
@@ -239,19 +264,7 @@ def fit(
     ``params.rng_seed`` and is consumed only when per-split feature
     subsampling is active.
     """
-    X = np.ascontiguousarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("features must be a nonempty n x d matrix")
-    if y.shape != (X.shape[0],):
-        raise ValueError("labels must be a vector with one entry per row")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    if y.min() < 0:
-        raise ValueError("labels must be nonnegative class indices")
-    k = max(2, int(y.max()) + 1) if n_classes is None else int(n_classes)
-    if y.max() >= k:
-        raise ValueError("labels out of range for n_classes")
+    X, y, k = _fit_inputs(features, labels, n_classes)
     n, d = X.shape
     spec = params.criterion
     subsample = params.feature_subsample
@@ -356,47 +369,22 @@ def tree_to_dict(tree: Tree) -> dict:
     return {"criterion": tree.criterion.to_dict(), "K": tree.n_classes, "nodes": nodes}
 
 
-_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string"}
-
-
-def _wrong_json(value, kind: type, what: str) -> ValueError:
-    return ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
-
-
-def _json(value, kind: type, what: str):
-    """``value`` if it has the JSON type ``kind`` (a key of ``_JSON_KINDS``),
-    else ``ValueError`` naming ``what``."""
-    if not isinstance(value, kind):
-        raise _wrong_json(value, kind, what)
-    return value
-
-
-def _from_json(cls, data, what: str):
-    """``cls(**data)`` for a JSON object keyed by the dataclass ``cls``'s fields; a
-    non-object, an unknown key or a missing required one raises ``ValueError``."""
-    _check_keys(what, _json(data, dict, what), cls.__dataclass_fields__)
-    for f in fields(cls):
-        if f.default is f.default_factory is MISSING and f.name not in data:
-            raise ValueError(f"{what} is missing key {f.name!r}")
-    return cls(**data)
+_TREE_KEYS = ("criterion", "K", "nodes")
 
 
 def tree_from_dict(data: dict) -> Tree:
     """Build a tree from its JSON form, checking that it is a well-formed model.
 
     Raises ``ValueError`` naming the first offending part: a value of the
-    wrong JSON type, an unknown kind or a missing key, a split whose feature
-    is negative, whose threshold is not finite or whose children are not
-    numbered after it and inside the tree, or leaf counts that are not K
-    nonnegative entries with a positive total.
+    wrong JSON type, an unknown kind, an unknown or missing key, a split
+    whose feature is negative, whose threshold is not finite or whose
+    children are not numbered after it and inside the tree, or leaf counts
+    that are not K nonnegative entries with a positive total.
     """
-    _json(data, dict, "tree model")
-    try:
-        spec = CriterionSpec.from_dict(_json(data["criterion"], dict, "criterion"))
-        k = _json(data["K"], int, "K")
-        entries = _json(data["nodes"], list, "nodes")
-    except KeyError as exc:
-        raise ValueError(f"tree model is missing key {exc}") from None
+    model = _read("tree model", data, _TREE_KEYS, _TREE_KEYS)
+    spec = CriterionSpec.from_dict(model["criterion"])
+    k = _json(model["K"], int, "K")
+    entries = _json(model["nodes"], list, "nodes")
     if not entries:
         raise ValueError("tree model has no nodes")
     no_counts = [0] * k

@@ -23,8 +23,6 @@ from .noise import (
 from .oracle import GridSpec, brute_force_impurity, exhaustive_early_stop_check
 from .tree import TreeParams, fit
 
-SUITES = ("impurity", "early-stop", "hoeffding", "noise")
-
 SIMPLEX_TOL = 1e-4
 NE_TOL = 1e-8
 
@@ -220,13 +218,11 @@ def noise_suite(seed: int = 0) -> list[CheckResult]:
     return results
 
 
+SUITES = {"impurity": impurity_suite, "early-stop": early_stop_suite,
+          "hoeffding": hoeffding_suite, "noise": noise_suite}
+
+
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
-    if suite == "impurity":
-        return impurity_suite(seed)
-    if suite == "early-stop":
-        return early_stop_suite(seed)
-    if suite == "hoeffding":
-        return hoeffding_suite(seed)
-    if suite == "noise":
-        return noise_suite(seed)
-    raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
+    return SUITES[suite](seed)

@@ -225,10 +225,33 @@ class TestPredict:
          "forest params has unknown key 'max_dpeth'"),
         ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini", "qq": 1}},
           "K": 2, "trees": []}, "criterion has unknown key 'qq'"),
-    ], ids=["tree-criterion", "forest-params", "forest-criterion"])
+        ({"criterion": {"kind": "gini"}, "K": 2, "nodes": [{"kind": "leaf", "counts": [1, 1]}],
+          "version": 1}, "tree model has unknown key 'version'"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
+          "K": 2, "trees": [], "version": 1}, "forest model has unknown key 'version'"),
+    ], ids=["tree-criterion", "forest-params", "forest-criterion", "tree-model", "forest-model"])
     def test_unknown_key_exits_1(self, tmp_path, blob_csv, capsys, content, message):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(content))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n_trees": 5}, "forest params give n_trees 5, the model has 1 trees"),
+        ({"criterion": {"kind": "gini"}}, "tree 0: criterion is entropy, the forest's is gini"),
+    ], ids=["n-trees", "criterion"])
+    def test_params_disagree_with_trees_exits_1(self, tmp_path, blob_csv, capsys,
+                                                params, message):
+        model = tmp_path / "forest.json"
+        assert main(["train", "--data", str(blob_csv), "--format", "csv", "--criterion",
+                     "entropy", "--forest", "--trees", "1", "--out", str(model)]) == 0
+        data = json.loads(model.read_text())
+        data["params"].update(params)
+        model.write_text(json.dumps(data))
+        capsys.readouterr()
         code = main(["predict", "--model", str(model), "--data", str(blob_csv),
                      "--format", "csv"])
         captured = capsys.readouterr()
@@ -336,7 +359,7 @@ class TestBench:
         ({"noise": [{"kind": "uniform", "eta": "0.1"}]},
          "error: noise eta must be a real number, got str"),
         ({"dataset": None}, "error: experiment config is missing key 'dataset'"),
-        ({"criteria": [{"q": 0.7}]}, "error: experiment config is missing key 'kind'"),
+        ({"criteria": [{"q": 0.7}]}, "error: criterion is missing key 'kind'"),
         ({"criteria": {"kind": "entropy"}}, "error: criteria must be a JSON array, got dict"),
         ({"replications": "2"}, "error: replications must be an integer, got str"),
         ({"split": {"train_fraction": "0.5"}},
@@ -351,12 +374,20 @@ class TestBench:
          "error: label_map must be a JSON object, got list"),
         ({"dataset": {"path": "x.csv", "format": "csv", "label_map": {"a": ["b"]}}},
          "error: label_map value must be a JSON string, got list"),
+        ({"replicatons": 2}, "error: experiment config has unknown key 'replicatons'"),
+        ({"dataset": {"path": "x.csv", "format": "csv", "lable_column": "y"}},
+         "error: dataset has unknown key 'lable_column'"),
+        ({"split": {"train_fracton": 0.5}}, "error: split has unknown key 'train_fracton'"),
+        ({"tuning": {"grdi": [0.5]}}, "error: tuning has unknown key 'grdi'"),
+        ({"dataset": {"path": "x.csv"}}, "error: dataset is missing key 'format'"),
     ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
             "cell-value-error", "string-max-depth", "string-bootstrap", "unknown-model-key",
             "model-not-object", "unknown-noise-key", "string-eta", "no-dataset",
             "criterion-without-kind", "criteria-object", "string-replications",
             "string-train-fraction", "unknown-criterion-key", "ane-with-lambda",
-            "numeric-path", "list-label-map", "list-label-map-value"])
+            "numeric-path", "list-label-map", "list-label-map-value", "unknown-top-level-key",
+            "unknown-dataset-key", "unknown-split-key", "unknown-tuning-key",
+            "dataset-without-format"])
     def test_bad_config_exits_1(self, blob_csv, tmp_path, capsys, overrides, message):
         config = _bench_config(tmp_path, blob_csv, **{"criteria": [{"kind": "ane"}], **overrides})
         code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])

@@ -160,7 +160,7 @@ class TestForestSerialization:
                         n_classes=2, trees=[_leaf_tree([3, 2]), _leaf_tree([1, 4])])
         data = forest_to_dict(forest)
         del data["params"]["bootstrap"]
-        with pytest.raises(ValueError, match="forest model is missing key 'bootstrap'"):
+        with pytest.raises(ValueError, match="forest params is missing key 'bootstrap'"):
             forest_from_dict(data)
         data = forest_to_dict(forest)
         data["trees"][1]["nodes"][0]["counts"] = [0, 0]

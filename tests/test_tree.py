@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robust_trees.criteria import ClassHistogram, CriterionSpec, impurity
+from robust_trees.oracle import exhaustive_early_stop_check
 from robust_trees.tree import (
     Tree,
     TreeParams,
@@ -43,6 +44,23 @@ class TestFit:
         ent = fit(X, y, TreeParams(CriterionSpec("entropy")))
         assert len(mis.feature) == 1
         assert len(ent.feature) == 3
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # adjacent: the midpoint rounds onto hi
+        (1e308, 1.7e308),  # the midpoint overflows to inf
+        (-1.7e308, -1e308),  # and to -inf
+    ], ids=["adjacent", "huge", "huge-negative"])
+    def test_threshold_between_adjacent_or_huge_values(self, lo, hi, tmp_path):
+        # max_depth bounds the fit: a threshold that sends every row one way
+        # would make the same node its own child, over and over
+        X, y = np.array([[lo], [hi], [lo], [hi]]), np.array([0, 1, 0, 1])
+        spec = CriterionSpec("gini")
+        tree = fit(X, y, TreeParams(spec, max_depth=2))
+        assert (tree.counts[tree.feature < 0].sum(axis=1) > 0).all()
+        assert tree_stats(tree)["node_count"] == 3 and tree.threshold[0] == lo
+        save_tree(tree, tmp_path / "tree.json")
+        assert (predict_batch(load_tree(tmp_path / "tree.json"), X)[0] == y).all()
+        assert exhaustive_early_stop_check(X, y, spec).witness == (0, lo)
 
     def test_max_depth_cap(self):
         rng = np.random.default_rng(0)
