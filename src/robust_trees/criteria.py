@@ -239,14 +239,17 @@ def impurity(spec: CriterionSpec, hist: ClassHistogram, dataset_size: int) -> We
     return WeightedImpurity(value=value, weight=weight)
 
 
-def split_scores(spec: CriterionSpec, parent, left, dataset_size: int) -> np.ndarray:
+def split_scores(spec: CriterionSpec, parent, left, dataset_size: int, node=None) -> np.ndarray:
     """Scores of splitting count array ``parent`` into ``left`` and ``parent - left``.
 
     The one split-score formula, used by the tree learner, the oracle,
     :func:`risk_reduction` and :func:`twoing_score`.  ``left`` stacks count
     vectors (classes on the last axis) against which ``parent`` broadcasts;
-    both children must be nonempty.  With W = size / dataset_size, twoing
-    scores (W_L W_R / 4) (sum_k |p_L(k) - p_R(k)|)^2, conservative criteria
+    both children must be nonempty.  Given ``node``, ``parent`` instead
+    holds one count row per node and ``left[i]`` splits node ``node[i]``:
+    the terms of each parent are computed once and gathered per candidate.
+    With W = size / dataset_size, twoing scores (W_L W_R / 4)
+    (sum_k |p_L(k) - p_R(k)|)^2, conservative criteria
     C (max L + max R - max P) / dataset_size (exactly 0 when nothing is
     gained), and all others the risk reduction W_P I(P) - (W_L I(L) + W_R I(R)).
     As in :func:`counts_impurity`, ``left`` passed as the ``.T`` view of
@@ -254,17 +257,23 @@ def split_scores(spec: CriterionSpec, parent, left, dataset_size: int) -> np.nda
     contiguous vector operations, and the order of the class sums keeps the
     scores bit for bit those of a class-last array.
     """
-    right = parent - left  # keeps the layout of ``left``
+    if node is None:
+        at = lambda per_node: per_node  # one parent, broadcast
+        right = parent - left  # keeps the layout of ``left``
+    else:
+        at = lambda per_node: per_node[node]
+        # gathered class-major, the layout of ``left``
+        right = np.take(np.asarray(parent).T, node, axis=1).T - left
     if spec.is_conservative:
-        gain = _class_max(left) + _class_max(right) - _class_max(parent)
+        gain = _class_max(left) + _class_max(right) - at(_class_max(parent))
         return spec.conservative_constant() * gain / dataset_size
     n = _class_sum(parent)
     n_left = _class_sum(left)
-    n_right = n - n_left
+    n_right = at(n) - n_left
     if spec.kind == "twoing":
         gap = _class_sum(np.abs(left / n_left[..., None] - right / n_right[..., None]))
         return (n_left / dataset_size) * (n_right / dataset_size) / 4.0 * np.square(gap)
-    return n / dataset_size * counts_impurity(spec, parent) - (
+    return at(n / dataset_size * counts_impurity(spec, parent)) - (
         n_left / dataset_size * counts_impurity(spec, left)
         + n_right / dataset_size * counts_impurity(spec, right)
     )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import CriterionSpec
-from .errors import _check_type, _from_json, _json, _read
+from .errors import _check_type, _from_json, _json, _labelled, _read
 from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
 from .noise import NoiseSpec, corrupt
 from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
@@ -44,10 +44,7 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError("features must be n x d with one label per row")
+        X, y = _labelled(self.features, self.labels)
         if not np.isfinite(X).all():
             raise ValueError("features contain non-finite values")
         if y.size and (y.min() < 0 or y.max() >= len(self.class_names)):
@@ -301,6 +298,11 @@ def accuracy_score(fitted, X, y) -> float:
     return float((_model_predictions(fitted, X)[0] == np.asarray(y)).mean())
 
 
+def _check_validation_fraction(value: float) -> None:
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"validation_fraction must lie in (0, 1), got {value}")
+
+
 def tune_lambda(
     train: Dataset,
     grid,
@@ -317,8 +319,7 @@ def tune_lambda(
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    if not (0.0 < validation_fraction < 1.0):
-        raise ValueError(f"validation_fraction must lie in (0, 1), got {validation_fraction}")
+    _check_validation_fraction(validation_fraction)
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     split_seed, model_stream = base.spawn(2)
     fit_part, val_part = train_test_split(train, 1.0 - validation_fraction, split_seed)
@@ -380,8 +381,7 @@ class ExperimentConfig:
             _check_type(name, getattr(self, name), kind)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must lie in (0, 1)")
+        _check_validation_fraction(self.validation_fraction)
         if not self.criteria or not self.noise:
             raise ValueError("need at least one criterion and one noise setting")
         grid = self.tuning_grid

@@ -5,6 +5,8 @@ goes through :func:`_read`, which checks its keys and renames them."""
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class EmptyHistogramError(ValueError):
     """Raised when an operation needs at least one sample but the histogram is empty."""
@@ -34,10 +36,20 @@ def _wrong_json(value, kind: type, what: str) -> ValueError:
 
 def _json(value, kind: type, what: str):
     """``value`` if it has the JSON type ``kind`` (a key of ``_JSON_KINDS``),
-    else ``ValueError`` naming ``what``."""
-    if not isinstance(value, kind):
+    else ``ValueError`` naming ``what``.  A JSON true or false is no integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise _wrong_json(value, kind, what)
     return value
+
+
+def _labelled(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` as a float64 n x d matrix and ``labels`` as an int64
+    vector with one entry per row, else ``ValueError``."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError("features must be n x d with one label per row")
+    return X, y
 
 
 def _read(what: str, data, keys, required=()) -> dict:

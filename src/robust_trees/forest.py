@@ -20,8 +20,8 @@ import numpy as np
 
 from .criteria import CriterionSpec
 from .errors import _check_type, _json, _read
-from .tree import (Tree, TreeParams, _fit_inputs, fit, predict, predict_batch, tree_from_dict,
-                   tree_stats, tree_to_dict)
+from .tree import (Tree, TreeParams, _class_count, _fit_inputs, fit, predict, predict_batch,
+                   tree_from_dict, tree_stats, tree_to_dict)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def forest_from_dict(data: dict) -> Forest:
     p["criterion"] = CriterionSpec.from_dict(p["criterion"])
     own = {name: p.pop(name) for name in list(p) if name in _OWN_PARAMS}
     params = ForestParams(TreeParams(**p), **own)
-    k, entries = _json(model["K"], int, "K"), _json(model["trees"], list, "trees")
+    k, entries = _class_count(_json(model["K"], int, "K")), _json(model["trees"], list, "trees")
     if len(entries) != params.n_trees:
         raise ValueError(f"forest params give n_trees {params.n_trees}, the model has"
                          f" {len(entries)} trees")

@@ -20,7 +20,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import _check_type, _from_json
+from .errors import _check_type, _from_json, _labelled
 
 _ROW_SUM_TOL = 1e-9
 KINDS = ("uniform", "binary_cc", "mahalanobis")
@@ -195,10 +195,7 @@ def mahalanobis_matrix(features, labels, ridge: float | None = None) -> Transiti
     off-diagonal mass, 1 - diagonal, is then distributed proportionally to
     the similarities, which keeps rows summing to one.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("features must be n x d with one label per row")
+    X, y = _labelled(features, labels)
     k = int(y.max()) + 1
     if k < 3:
         raise ValueError("mahalanobis noise needs at least 3 classes")

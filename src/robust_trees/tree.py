@@ -25,6 +25,16 @@ their left class counts out class-major (K rows of candidates) for one
 along the long candidate axis.  So the way of counting changes speed,
 never the tree.
 
+Nodes of ``_LEVEL_ROWS`` (128) rows or more grow depth-first, one search
+each.  A smaller node waits until no larger one is left; then all waiting
+subtrees grow together, one level per step: one ``bincount`` counts the
+classes of every node of the level, one search covers all of them that can
+split, its way of counting picked once for the level, and one stable
+argsort moves their rows to the children.  The search gives each node the
+bits its own search would, so the tree is the same.  A fit that draws
+features per split, as a forest's trees do, grows every node depth-first,
+so that its draws keep their order.
+
 A threshold is the midpoint of the two values around its boundary, or the
 lower value when the midpoint is not in [lower, upper) (it rounds onto the
 upper value between adjacent floats, and overflows between huge ones), so
@@ -33,7 +43,8 @@ both children are nonempty.  Rows equal to a threshold route left.
 A fitted :class:`Tree` is five parallel arrays over its nodes: ``feature``
 (-1 at leaves), ``threshold``, ``left`` and ``right`` (-1 at leaves) and
 ``counts`` (the training class counts at leaves, zero rows at splits).
-Nodes are numbered in depth-first preorder: the root is 0, a split's left
+Nodes are renumbered at the end of a fit to depth-first preorder, the order
+a purely depth-first grower makes them in: the root is 0, a split's left
 subtree comes before its right one, and every child is numbered after its
 parent.  That last invariant, which ``tree_from_dict`` checks, bounds every
 walk from the root; batch prediction moves all rows down one depth per step.
@@ -48,7 +59,7 @@ from numbers import Integral
 import numpy as np
 
 from .criteria import CriterionSpec, split_scores
-from .errors import _check_type, _json, _read, _wrong_json
+from .errors import _check_type, _json, _labelled, _read, _wrong_json
 
 
 @dataclass(frozen=True)
@@ -147,9 +158,9 @@ def _bin_columns(X: np.ndarray, y: np.ndarray, k: int) -> _Bins:
 
 
 def _use_histogram(bins: int, rows: int, features: int) -> bool:
-    """Whether a node counts its keys with one ``bincount`` rather than a
-    sort: the candidate features' bins are few against the (row, feature)
-    cells it counts."""
+    """Whether a search counts its keys with one ``bincount`` rather than a
+    sort: the bins of its candidate features (over all its nodes) are few
+    against the (row, feature) cells it counts."""
     return 4 * bins <= rows * features
 
 
@@ -230,23 +241,113 @@ def _best_split(
     return float(scores[best]), f, mid if lo <= mid < hi else lo
 
 
+def _best_splits(
+    spec: CriterionSpec,
+    bins: _Bins,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    parent_counts: np.ndarray,
+    dataset_size: int,
+    min_samples_leaf: int,
+):
+    """Best (scores, features, thresholds) of S nodes, searched together over
+    every feature; a node without a candidate scores -inf.
+
+    ``rows`` lists the nodes' rows node after node, ``sizes`` how many each
+    has and ``parent_counts`` (S x K) their class counts.  Each node gets
+    the answer :func:`_best_split` gives it, bit for bit: its candidates are
+    listed feature-major with ascending thresholds, so its first maximum is
+    at the lowest feature, then the lowest threshold.  :func:`_use_histogram`
+    over all S nodes picks how to count.
+    """
+    s, k = parent_counts.shape
+    key = bins.keys[rows]
+    r, d = key.shape
+    first = bins.first
+    nbins = int(first[-1])
+    if s * nbins * k >= 2**31:
+        key = key.astype(np.intp)
+    seg = np.repeat(np.arange(s), sizes)  # each row's node
+    # the class counts of the nodes before each one, which a running count carries
+    before = np.cumsum(parent_counts, axis=0) - parent_counts
+    key += (seg * (nbins * k)).astype(key.dtype)[:, None]  # (node, bin, label) keys
+    counted = _use_histogram(s * nbins, r, d)
+    if counted:
+        hist = np.bincount(key.ravel(), minlength=s * nbins * k).reshape(-1, k)
+        nonempty = np.flatnonzero(np.add.reduce(hist.T, axis=0))  # (node, bin) rows
+        node, seq = np.divmod(nonempty, nbins)
+        owner = node * d + np.repeat(np.arange(d), np.diff(first))[seq]  # (node, feature)
+        at = np.flatnonzero(owner[:-1] == owner[1:])  # a boundary after nonempty row at
+        cand = node[at]
+        # before a (node, feature), the running count has passed every feature
+        # of the earlier nodes and the earlier features of this one
+        carried = before[:, None] * d + np.arange(d)[:, None] * parent_counts[:, None]
+        left = (np.take(hist.T, nonempty, axis=1).cumsum(axis=1)[:, at]
+                - np.take(carried.reshape(-1, k).T, owner[at], axis=1))
+    else:
+        key = np.ascontiguousarray(key.T)  # one row per feature
+        key.sort(axis=1)  # by node, then key
+        seq = key // k  # the (node, bin) of the sorted rows
+        # valid[f, i]: a boundary between sorted rows i and i + 1 of one node
+        valid = np.zeros((d, r), dtype=bool)
+        np.not_equal(seq[:, 1:], seq[:, :-1], out=valid[:, :-1])
+        valid[:, :-1] &= seg[1:] == seg[:-1]
+        at = np.flatnonzero(valid)
+        cand = seg[at % r]
+        onehot = key - seq * k == np.arange(k)[:, None, None]  # class-major: K x d x r
+        # 32-bit running counts halve the memory the sweep writes; every count fits
+        cum = onehot.cumsum(axis=2, dtype=np.int32 if r < 2**31 else np.int64)
+        left = np.take(cum.reshape(k, d * r), at, axis=1) - before.T[:, cand]
+        seq = seq.ravel() % nbins
+    if min_samples_leaf > 1:
+        n_left = left.sum(axis=0)
+        keep = (n_left >= min_samples_leaf) & (sizes[cand] - n_left >= min_samples_leaf)
+        at, cand, left = at[keep], cand[keep], left[:, keep]
+    best, feature, threshold = np.full(s, -np.inf), np.full(s, -1), np.zeros(s)
+    if at.size == 0:
+        return best, feature, threshold
+    scores = split_scores(spec, parent_counts, left.T, dataset_size, node=cand)
+    np.maximum.at(best, cand, scores)
+    hits = np.flatnonzero(scores == best[cand])
+    won, firsts = np.unique(cand[hits], return_index=True)  # each node's first maximum
+    i = at[hits[firsts]]
+    feature[won] = owner[i] % d if counted else i // r
+    lo, hi = bins.values[seq[i]], bins.values[seq[i + 1]]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    threshold[won] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    return best, feature, threshold
+
+
+def _class_count(k: int, what: str = "K") -> int:
+    """``k`` if it is a class count a tree can have (K >= 2), else ``ValueError``."""
+    if k < 2:
+        raise ValueError(f"{what} must be >= 2, got {k}")
+    return k
+
+
 def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     """A fit's checked inputs: finite float64 features, int64 labels and the
     class count K, ``n_classes`` if given, else max(2, max(labels) + 1)."""
-    X = np.ascontiguousarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("features must be a nonempty n x d matrix")
-    if y.shape != (X.shape[0],):
-        raise ValueError("labels must be a vector with one entry per row")
+    X, y = _labelled(features, labels)
+    X = np.ascontiguousarray(X)
+    if X.shape[0] == 0:
+        raise ValueError("features must be nonempty")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     if y.min() < 0:
         raise ValueError("labels must be nonnegative class indices")
-    k = max(2, int(y.max()) + 1) if n_classes is None else int(n_classes)
+    if n_classes is None:
+        k = max(2, int(y.max()) + 1)
+    else:
+        k = _class_count(int(n_classes), "n_classes")
     if y.max() >= k:
         raise ValueError("labels out of range for n_classes")
     return X, y, k
+
+
+# Nodes with fewer rows than this wait, and then grow level by level together.
+_LEVEL_ROWS = 128
 
 
 def fit(
@@ -274,13 +375,20 @@ def fit(
         rng = np.random.default_rng(params.rng_seed)
     bins = _bin_columns(X, y, k)
 
-    # one entry per node, appended in preorder: [feature, threshold, left, right, counts]
-    nodes: list[list] = []
+    # a forest's per-node feature draws must stay in preorder, so it grows depth-first
+    cut = 0 if subsample is not None and subsample < d else _LEVEL_ROWS
+    # node records in the order they are made, the root first:
+    # (parent id, is a right child, feature, threshold, counts)
+    made: list[tuple] = []
+    deferred: list[tuple] = []
     no_counts = np.zeros(k, dtype=np.int64)
     # stack entries: (row indices, depth, parent node id, is_right_child)
     stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
     while stack:
         idx, depth, parent, is_right = stack.pop()
+        if idx.shape[0] < cut:
+            deferred.append((idx, depth, parent, is_right))
+            continue
         counts = np.bincount(y[idx], minlength=k)
         split: tuple[int, float] | None = None
 
@@ -297,19 +405,81 @@ def fit(
             if found is not None and found[0] > spec.halting_slack:
                 split = found[1:]
 
-        nid = len(nodes)
-        if parent >= 0:
-            nodes[parent][3 if is_right else 2] = nid
+        nid = len(made)
         if split is None:
-            nodes.append([-1, 0.0, -1, -1, counts])
+            made.append((parent, is_right, -1, 0.0, counts))
         else:
-            nodes.append([*split, -1, -1, no_counts])
+            made.append((parent, is_right, *split, no_counts))
             mask = X[idx, split[0]] <= split[1]
             # right pushed first so the left child is grown (and numbered) first
             stack.append((idx[~mask], depth + 1, nid, True))
             stack.append((idx[mask], depth + 1, nid, False))
 
-    return Tree(spec, k, *zip(*nodes))
+    parts = [tuple(map(np.array, zip(*made)))] if made else []
+    if deferred:
+        parts += _grow_levels(spec, bins, X, y, k, params, deferred, len(made))
+    parent, is_right, feature, threshold, counts = (np.concatenate(a) for a in zip(*parts))
+    m = parent.size
+    child = np.full((m + 1, 2), -1)  # a node's (left, right); row m stays -1
+    child[parent[1:], is_right[1:].astype(np.intp)] = np.arange(1, m)
+    if deferred:  # renumber to preorder
+        order, stack, kids = [], [0], child.tolist()
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if kids[i][0] >= 0:
+                stack += kids[i][::-1]
+        new = np.full(m + 1, -1)
+        new[order] = np.arange(m)
+        child = new[child[order]]  # -1 reads row m of new, which stays -1
+        feature, threshold, counts = feature[order], threshold[order], counts[order]
+    return Tree(spec, k, feature, threshold, child[:m, 0], child[:m, 1], counts)
+
+
+def _grow_levels(spec: CriterionSpec, bins: _Bins, X: np.ndarray, y: np.ndarray, k: int,
+                 params: TreeParams, deferred: list[tuple], first_id: int) -> list[tuple]:
+    """Grow the deferred nodes' subtrees together, one depth per step.
+
+    ``deferred`` holds the (rows, depth, parent id, is_right) of the nodes
+    to grow, whose ids start at ``first_id``.  Each step counts the classes
+    of every node with one ``bincount``, searches all splittable nodes with
+    one :func:`_best_splits` call and moves the rows of the splits to their
+    children with one stable argsort.  Returns each level's node records,
+    one array per field, as ``fit`` makes them.
+    """
+    msl, max_depth = params.min_samples_leaf, params.max_depth
+    rows = np.concatenate([idx for idx, *_ in deferred])
+    sizes, depth, parent, is_right = (
+        np.array(a) for a in zip(*((idx.shape[0], *rest) for idx, *rest in deferred)))
+    parts = []
+    while sizes.size:
+        s = sizes.size
+        seg = np.repeat(np.arange(s), sizes)  # each row's node
+        counts = np.bincount(seg * k + y[rows], minlength=s * k).reshape(s, k)
+        splittable = (np.count_nonzero(counts, axis=1) > 1) & (sizes >= 2 * msl)
+        if max_depth is not None:
+            splittable &= depth < max_depth
+        feature, threshold = np.full(s, -1), np.zeros(s)
+        at = np.flatnonzero(splittable)
+        if at.size:
+            score, f, t = _best_splits(spec, bins, rows[splittable[seg]], sizes[at], counts[at],
+                                       y.shape[0], msl)
+            good = score > spec.halting_slack
+            feature[at[good]], threshold[at[good]] = f[good], t[good]
+        split = feature >= 0
+        parts.append((parent, is_right, feature, threshold, np.where(split[:, None], 0, counts)))
+        # the next level: the children of the splits, each left before right
+        ids = first_id + np.arange(s)
+        first_id += s
+        rows, seg = rows[split[seg]], seg[split[seg]]
+        slot = 2 * seg + (X[rows, feature[seg]] > threshold[seg])
+        rows = rows[np.argsort(slot, kind="stable")]
+        sizes = np.bincount(slot, minlength=2 * s)
+        kids = np.flatnonzero(sizes)
+        up = kids // 2
+        sizes, depth, parent, is_right = sizes[kids], depth[up] + 1, ids[up], kids % 2
+
+    return parts
 
 
 def _too_few_columns(tree: Tree, shape: tuple) -> ValueError:
@@ -376,14 +546,14 @@ def tree_from_dict(data: dict) -> Tree:
     """Build a tree from its JSON form, checking that it is a well-formed model.
 
     Raises ``ValueError`` naming the first offending part: a value of the
-    wrong JSON type, an unknown kind, an unknown or missing key, a split
+    wrong JSON type, K below 2, an unknown kind, an unknown or missing key, a split
     whose feature is negative, whose threshold is not finite or whose
     children are not numbered after it and inside the tree, or leaf counts
     that are not K nonnegative entries with a positive total.
     """
     model = _read("tree model", data, _TREE_KEYS, _TREE_KEYS)
     spec = CriterionSpec.from_dict(model["criterion"])
-    k = _json(model["K"], int, "K")
+    k = _class_count(_json(model["K"], int, "K"))
     entries = _json(model["nodes"], list, "nodes")
     if not entries:
         raise ValueError("tree model has no nodes")

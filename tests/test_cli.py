@@ -239,6 +239,25 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("content, message", [
+        ({"criterion": {"kind": "gini"}, "K": True, "nodes": [{"kind": "leaf", "counts": [3]}]},
+         "K must be a JSON integer, got bool"),
+        ({"criterion": {"kind": "gini"}, "K": 1, "nodes": [{"kind": "leaf", "counts": [3]}]},
+         "K must be >= 2, got 1"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
+          "K": False, "trees": []}, "K must be a JSON integer, got bool"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
+          "K": 1, "trees": []}, "K must be >= 2, got 1"),
+    ], ids=["tree-bool", "tree-one-class", "forest-bool", "forest-one-class"])
+    def test_bad_class_count_exits_1(self, tmp_path, blob_csv, capsys, content, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(content))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("params, message", [
         ({"n_trees": 5}, "forest params give n_trees 5, the model has 1 trees"),
         ({"criterion": {"kind": "gini"}}, "tree 0: criterion is entropy, the forest's is gini"),
@@ -380,6 +399,8 @@ class TestBench:
         ({"split": {"train_fracton": 0.5}}, "error: split has unknown key 'train_fracton'"),
         ({"tuning": {"grdi": [0.5]}}, "error: tuning has unknown key 'grdi'"),
         ({"dataset": {"path": "x.csv"}}, "error: dataset is missing key 'format'"),
+        ({"tuning": {"validation_fraction": 1.5}},
+         "error: validation_fraction must lie in (0, 1), got 1.5"),
     ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
             "cell-value-error", "string-max-depth", "string-bootstrap", "unknown-model-key",
             "model-not-object", "unknown-noise-key", "string-eta", "no-dataset",
@@ -387,7 +408,7 @@ class TestBench:
             "string-train-fraction", "unknown-criterion-key", "ane-with-lambda",
             "numeric-path", "list-label-map", "list-label-map-value", "unknown-top-level-key",
             "unknown-dataset-key", "unknown-split-key", "unknown-tuning-key",
-            "dataset-without-format"])
+            "dataset-without-format", "validation-fraction-out-of-range"])
     def test_bad_config_exits_1(self, blob_csv, tmp_path, capsys, overrides, message):
         config = _bench_config(tmp_path, blob_csv, **{"criteria": [{"kind": "ane"}], **overrides})
         code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from robust_trees.dataeng import Dataset
 from robust_trees.noise import (
     NoiseSpec,
     TransitionMatrix,
@@ -148,6 +149,12 @@ class TestMahalanobisMatrix:
         X, y = gaussian_blobs(50, [[0, 0], [5, 5]], seed=1)
         with pytest.raises(ValueError):
             mahalanobis_matrix(X, y)
+
+    def test_label_matrix_rejected_as_dataset_rejects_it(self):
+        X, y = gaussian_blobs(10, [[0, 0], [5, 0], [0, 5]], seed=1)
+        for build in (mahalanobis_matrix, lambda X, y: Dataset(X, y, ("a", "b", "c"))):
+            with pytest.raises(ValueError, match="^features must be n x d with one label per"):
+                build(X, y[:, None])
 
     def test_requires_two_samples_per_class(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [9.0, 9.0]])

@@ -116,7 +116,7 @@ def _blobs():
 
 
 def _counts(monkeypatch) -> dict:
-    """Count the nodes that count their keys, and those that sort them, from now on."""
+    """Count the searches that count their keys, and those that sort them, from now on."""
     seen = {True: 0, False: 0}
     choose = tree._use_histogram
 

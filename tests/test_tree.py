@@ -91,6 +91,11 @@ class TestFit:
         with pytest.raises(ValueError, match=err):
             fit(X, y, TreeParams(CriterionSpec("gini")), **kwargs)
 
+    def test_fewer_than_two_classes_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_classes must be >= 2, got 1$"):
+            fit(np.zeros((3, 1)), np.zeros(3, dtype=int), TreeParams(CriterionSpec("gini")),
+                n_classes=1)
+
     def test_determinism_with_feature_subsampling(self):
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (150, 6))
