@@ -18,7 +18,7 @@ class PartitionError(ValueError):
 
 _TYPE_NAMES = {Real: "a real number", Integral: "an integer", bool: "true or false",
                str: "a string"}
-_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string"}
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", float: "number", str: "string"}
 
 
 def _check_type(what: str, value, kind: type, optional: bool = False) -> None:

@@ -3,8 +3,11 @@
 Each tree trains on a bootstrap resample (optional) with per-split feature
 subsampling, defaulting to ceil(sqrt(d)) features per split and 100 trees.
 Every tree draws from its own generator, spawned deterministically from the
-forest seed and the tree index, so training is reproducible.  Trees are fit
-one after another, and so are the cells of the experiment grid.
+forest seed and the tree index, so training is reproducible: first its
+bootstrap rows, then its features split by split in preorder.  A forest
+bins its data once and grows all its trees in lockstep (see
+:mod:`robust_trees.tree`), which gives every tree the bits of a fit on its
+own resample.
 Prediction averages the leaf distributions over all trees and takes the
 argmax (lowest index on ties).
 """
@@ -20,8 +23,8 @@ import numpy as np
 
 from .criteria import CriterionSpec
 from .errors import _check_type, _json, _read
-from .tree import (Tree, TreeParams, _class_count, _fit_inputs, fit, predict, predict_batch,
-                   tree_from_dict, tree_stats, tree_to_dict)
+from .tree import (Tree, TreeParams, _class_count, _fit_inputs, _fit_trees, predict,
+                   predict_batch, tree_from_dict, tree_stats, tree_to_dict)
 
 
 @dataclass(frozen=True)
@@ -56,18 +59,11 @@ def fit_forest(features, labels, params: ForestParams, n_classes: int | None = N
     tp = params.tree_params
     if tp.feature_subsample is None:
         tp = replace(tp, feature_subsample=min(d, math.ceil(math.sqrt(d))))
-    seeds = np.random.SeedSequence(params.rng_seed).spawn(params.n_trees)
-
-    def build(i: int) -> Tree:
-        rng = np.random.default_rng(seeds[i])
-        if params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-            Xi, yi = X[rows], y[rows]
-        else:
-            Xi, yi = X, y
-        return fit(Xi, yi, tp, n_classes=k, rng=rng)
-
-    return Forest(params=params, n_classes=k, trees=[build(i) for i in range(params.n_trees)])
+    rngs = [np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(params.rng_seed).spawn(params.n_trees)]
+    # a tree's generator draws its bootstrap first, then its features split by split
+    roots = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
+    return Forest(params=params, n_classes=k, trees=_fit_trees(X, y, k, tp, roots, rngs))
 
 
 def predict_forest(forest: Forest, x) -> tuple[int, np.ndarray]:

@@ -33,7 +33,13 @@ split, its way of counting picked once for the level, and one stable
 argsort moves their rows to the children.  The search gives each node the
 bits its own search would, so the tree is the same.  A fit that draws
 features per split, as a forest's trees do, grows every node depth-first,
-so that its draws keep their order.
+so that its draws keep their preorder.  A forest's trees grow in lockstep
+over one binning of the forest's data, each on row ids into it (with a
+bootstrap's repeats): every tree pops nodes up to its next one under
+``_LEVEL_ROWS`` rows that can split, and one search covers those nodes of
+all trees, each (node, drawn feature) pair counted as a feature of its
+own.  Binning the whole data instead of a resample changes no answer, as
+the search skips the bins that are empty in a node.
 
 A threshold is the midpoint of the two values around its boundary, or the
 lower value when the midpoint is not in [lower, upper) (it rounds onto the
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -249,46 +256,59 @@ def _best_splits(
     parent_counts: np.ndarray,
     dataset_size: int,
     min_samples_leaf: int,
+    feats: np.ndarray | None = None,
 ):
-    """Best (scores, features, thresholds) of S nodes, searched together over
-    every feature; a node without a candidate scores -inf.
+    """Best (scores, features, thresholds) of S nodes, searched together; a
+    node without a candidate scores -inf.
 
     ``rows`` lists the nodes' rows node after node, ``sizes`` how many each
-    has and ``parent_counts`` (S x K) their class counts.  Each node gets
-    the answer :func:`_best_split` gives it, bit for bit: its candidates are
-    listed feature-major with ascending thresholds, so its first maximum is
-    at the lowest feature, then the lowest threshold.  :func:`_use_histogram`
-    over all S nodes picks how to count.
+    has and ``parent_counts`` (S x K) their class counts.  ``feats`` (S x f,
+    each row sorted) gives each node its candidate features, every feature
+    when None.  Each node gets the answer :func:`_best_split` gives it, bit
+    for bit: its candidates are listed feature-major with ascending
+    thresholds, so its first maximum is at the lowest feature, then the
+    lowest threshold.  Every (node, candidate feature) pair counts as a
+    feature of its own, with its bins numbered after those of the pairs
+    before it, so :func:`_use_histogram` picks how to count from the bins of
+    the candidate features over all S nodes.
     """
     s, k = parent_counts.shape
-    key = bins.keys[rows]
-    r, d = key.shape
-    first = bins.first
-    nbins = int(first[-1])
-    if s * nbins * k >= 2**31:
-        key = key.astype(np.intp)
     seg = np.repeat(np.arange(s), sizes)  # each row's node
+    # pair (node j, candidate column c) numbers its feature's width[j, c] bins
+    # after those of the pairs before it: fit bin b is search bin b + shift[j, c]
+    if feats is None:
+        key = bins.keys[rows]
+        feats = np.broadcast_to(np.arange(key.shape[1]), (s, key.shape[1]))
+        width = np.broadcast_to(np.diff(bins.first), feats.shape)
+        shift = np.arange(s)[:, None] * bins.first[-1]  # a node's columns shift alike
+    else:
+        key = bins.keys[rows[:, None], feats[seg]]
+        width = bins.first[feats + 1] - bins.first[feats]
+        shift = (np.cumsum(width) - width.ravel()).reshape(width.shape) - bins.first[feats]
+    r, d = key.shape
+    nbins = int(shift[-1, -1] + bins.first[feats[-1, -1] + 1])
+    if nbins * k >= 2**31:
+        key = key.astype(np.intp)
+    key += (shift * k).astype(key.dtype)[seg]
     # the class counts of the nodes before each one, which a running count carries
     before = np.cumsum(parent_counts, axis=0) - parent_counts
-    key += (seg * (nbins * k)).astype(key.dtype)[:, None]  # (node, bin, label) keys
-    counted = _use_histogram(s * nbins, r, d)
+    counted = _use_histogram(nbins, r, d)
     if counted:
-        hist = np.bincount(key.ravel(), minlength=s * nbins * k).reshape(-1, k)
-        nonempty = np.flatnonzero(np.add.reduce(hist.T, axis=0))  # (node, bin) rows
-        node, seq = np.divmod(nonempty, nbins)
-        owner = node * d + np.repeat(np.arange(d), np.diff(first))[seq]  # (node, feature)
-        at = np.flatnonzero(owner[:-1] == owner[1:])  # a boundary after nonempty row at
-        cand = node[at]
-        # before a (node, feature), the running count has passed every feature
-        # of the earlier nodes and the earlier features of this one
+        hist = np.bincount(key.ravel(), minlength=nbins * k).reshape(-1, k)
+        seq = np.flatnonzero(np.add.reduce(hist.T, axis=0))  # nonempty bins, pair-major
+        owner = np.repeat(np.arange(s * d), width.ravel())[seq]  # their (node, column) pairs
+        at = np.flatnonzero(owner[:-1] == owner[1:])  # a boundary after nonempty bin at
+        cand = owner[at] // d
+        # before a pair, the running count has passed every column of the
+        # earlier nodes and the earlier columns of this one
         carried = before[:, None] * d + np.arange(d)[:, None] * parent_counts[:, None]
-        left = (np.take(hist.T, nonempty, axis=1).cumsum(axis=1)[:, at]
+        left = (np.take(hist.T, seq, axis=1).cumsum(axis=1)[:, at]
                 - np.take(carried.reshape(-1, k).T, owner[at], axis=1))
     else:
-        key = np.ascontiguousarray(key.T)  # one row per feature
+        key = np.ascontiguousarray(key.T)  # one row per column
         key.sort(axis=1)  # by node, then key
-        seq = key // k  # the (node, bin) of the sorted rows
-        # valid[f, i]: a boundary between sorted rows i and i + 1 of one node
+        seq = key // k  # the bins of the sorted rows
+        # valid[c, i]: a boundary between sorted rows i and i + 1 of one node
         valid = np.zeros((d, r), dtype=bool)
         np.not_equal(seq[:, 1:], seq[:, :-1], out=valid[:, :-1])
         valid[:, :-1] &= seg[1:] == seg[:-1]
@@ -298,7 +318,7 @@ def _best_splits(
         # 32-bit running counts halve the memory the sweep writes; every count fits
         cum = onehot.cumsum(axis=2, dtype=np.int32 if r < 2**31 else np.int64)
         left = np.take(cum.reshape(k, d * r), at, axis=1) - before.T[:, cand]
-        seq = seq.ravel() % nbins
+        seq = seq.ravel()
     if min_samples_leaf > 1:
         n_left = left.sum(axis=0)
         keep = (n_left >= min_samples_leaf) & (sizes[cand] - n_left >= min_samples_leaf)
@@ -309,10 +329,14 @@ def _best_splits(
     scores = split_scores(spec, parent_counts, left.T, dataset_size, node=cand)
     np.maximum.at(best, cand, scores)
     hits = np.flatnonzero(scores == best[cand])
-    won, firsts = np.unique(cand[hits], return_index=True)  # each node's first maximum
-    i = at[hits[firsts]]
-    feature[won] = owner[i] % d if counted else i // r
-    lo, hi = bins.values[seq[i]], bins.values[seq[i + 1]]
+    first_hit = np.full(s, at.size)
+    np.minimum.at(first_hit, cand[hits], hits)  # each node's first maximum
+    won = np.flatnonzero(first_hit < at.size)
+    i = at[first_hit[won]]
+    col = owner[i] % d if counted else i // r
+    feature[won] = feats[won, col]
+    step = np.broadcast_to(shift, (s, d))[won, col]  # back to the fit's bin numbers
+    lo, hi = bins.values[seq[i] - step], bins.values[seq[i + 1] - step]
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
     threshold[won] = np.where((lo <= mid) & (mid < hi), mid, lo)
@@ -346,7 +370,9 @@ def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np
     return X, y, k
 
 
-# Nodes with fewer rows than this wait, and then grow level by level together.
+# Nodes with fewer rows than this are searched together: in a fit that draws no
+# features they wait and then grow level by level, and in one that draws, each
+# is searched with the next such node of every other tree grown alongside.
 _LEVEL_ROWS = 128
 
 
@@ -366,63 +392,103 @@ def fit(
     subsampling is active.
     """
     X, y, k = _fit_inputs(features, labels, n_classes)
+    if rng is None:
+        rng = np.random.default_rng(params.rng_seed)
+    return _fit_trees(X, y, k, params, [np.arange(X.shape[0])], [rng])[0]
+
+
+def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
+               roots: list[np.ndarray], rngs: list[np.random.Generator]) -> list[Tree]:
+    """Grow one tree per root, each on the rows of X its root lists (with
+    repeats for a bootstrap resample), in lockstep over one binning of X.
+
+    Each tree grows depth-first from its own stack, and tree t draws its
+    features per split from ``rngs[t]``, so its draws keep their preorder.
+    A node of ``_LEVEL_ROWS`` rows or more is searched alone as soon as it
+    is popped.  In a fit that draws no features a smaller node waits, and
+    all waiting nodes grow level by level once the stack is empty.  In one
+    that draws, every tree pops up to its next smaller node that can split,
+    and one call searches the nodes of all trees together (a lone one is
+    searched alone).  Every node weighs its rows against n, the rows of X.
+    """
     n, d = X.shape
-    spec = params.criterion
+    spec, msl, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
     subsample = params.feature_subsample
     if subsample is not None and subsample > d:
         raise ValueError("feature_subsample cannot exceed the feature count")
-    if rng is None:
-        rng = np.random.default_rng(params.rng_seed)
+    draw = subsample is not None and subsample < d
     bins = _bin_columns(X, y, k)
-
-    # a forest's per-node feature draws must stay in preorder, so it grows depth-first
-    cut = 0 if subsample is not None and subsample < d else _LEVEL_ROWS
-    # node records in the order they are made, the root first:
+    # each tree's node records in the order they are made, the root first:
     # (parent id, is a right child, feature, threshold, counts)
-    made: list[tuple] = []
-    deferred: list[tuple] = []
+    made: list[list[tuple]] = [[] for _ in roots]
+    deferred: list[list[tuple]] = [[] for _ in roots]
     no_counts = np.zeros(k, dtype=np.int64)
-    # stack entries: (row indices, depth, parent node id, is_right_child)
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        if idx.shape[0] < cut:
-            deferred.append((idx, depth, parent, is_right))
-            continue
-        counts = np.bincount(y[idx], minlength=k)
-        split: tuple[int, float] | None = None
+    # stack entries: (row ids into X, depth, parent node id, is a right child)
+    stacks = [[(rows, 0, -1, False)] for rows in roots]
 
-        splittable = (
-            np.count_nonzero(counts) > 1
-            and (params.max_depth is None or depth < params.max_depth)
-            and idx.shape[0] >= 2 * params.min_samples_leaf
-        )
-        if splittable:
-            feats = None
-            if subsample is not None and subsample < d:
-                feats = np.sort(rng.choice(d, size=subsample, replace=False))
-            found = _best_split(spec, bins, idx, feats, counts, n, params.min_samples_leaf)
-            if found is not None and found[0] > spec.halting_slack:
-                split = found[1:]
+    def settle(t, node, counts, found):
+        """Record tree t's node as a split or a leaf, and push a split's children."""
+        idx, depth, parent, is_right = node
+        nid = len(made[t])
+        if found is None or not found[0] > spec.halting_slack:
+            made[t].append((parent, is_right, -1, 0.0, counts))
+            return
+        feature, threshold = found[1:]
+        made[t].append((parent, is_right, feature, threshold, no_counts))
+        mask = X[idx, feature] <= threshold
+        # right pushed first so the left child is grown (and numbered) first
+        stacks[t].append((idx[~mask], depth + 1, nid, True))
+        stacks[t].append((idx[mask], depth + 1, nid, False))
 
-        nid = len(made)
-        if split is None:
-            made.append((parent, is_right, -1, 0.0, counts))
-        else:
-            made.append((parent, is_right, *split, no_counts))
-            mask = X[idx, split[0]] <= split[1]
-            # right pushed first so the left child is grown (and numbered) first
-            stack.append((idx[~mask], depth + 1, nid, True))
-            stack.append((idx[mask], depth + 1, nid, False))
+    live = range(len(roots))
+    while live:
+        small = []  # (tree, stack entry, counts, candidate features)
+        for t in live:
+            stack = stacks[t]
+            while stack:
+                node = idx, depth, _, _ = stack.pop()
+                if not draw and idx.size < _LEVEL_ROWS:
+                    deferred[t].append(node)
+                    continue
+                counts = np.bincount(y[idx], minlength=k)
+                if not (np.count_nonzero(counts) > 1 and idx.size >= 2 * msl
+                        and (max_depth is None or depth < max_depth)):
+                    settle(t, node, counts, None)
+                    continue
+                feats = np.sort(rngs[t].choice(d, size=subsample, replace=False)) if draw else None
+                if idx.size < _LEVEL_ROWS:
+                    small.append((t, node, counts, feats))
+                    break
+                settle(t, node, counts, _best_split(spec, bins, idx, feats, counts, n, msl))
+        if len(small) == 1:
+            t, node, counts, feats = small[0]
+            settle(t, node, counts, _best_split(spec, bins, node[0], feats, counts, n, msl))
+        elif small:
+            _, nodes, counts, feats = zip(*small)
+            found = _best_splits(spec, bins, np.concatenate([node[0] for node in nodes]),
+                                 np.array([node[0].size for node in nodes]), np.array(counts),
+                                 n, msl, np.array(feats))
+            for (t, node, c, _), *split in zip(small, *found):
+                settle(t, node, c, split)
+        live = [t for t, *_ in small]
 
-    parts = [tuple(map(np.array, zip(*made)))] if made else []
-    if deferred:
-        parts += _grow_levels(spec, bins, X, y, k, params, deferred, len(made))
+    trees = []
+    for records, waiting in zip(made, deferred):
+        parts = [tuple(map(np.array, zip(*records)))] if records else []
+        if waiting:
+            parts += _grow_levels(spec, bins, X, y, k, params, waiting, len(records))
+        trees.append(_assemble(spec, k, parts, preorder=not waiting))
+    return trees
+
+
+def _assemble(spec: CriterionSpec, k: int, parts: list[tuple], preorder: bool) -> Tree:
+    """The tree of node records (each part one array per field, as
+    ``_fit_trees`` makes them), renumbered to preorder unless they are in it."""
     parent, is_right, feature, threshold, counts = (np.concatenate(a) for a in zip(*parts))
     m = parent.size
     child = np.full((m + 1, 2), -1)  # a node's (left, right); row m stays -1
     child[parent[1:], is_right[1:].astype(np.intp)] = np.arange(1, m)
-    if deferred:  # renumber to preorder
+    if not preorder:
         order, stack, kids = [], [0], child.tolist()
         while stack:
             i = stack.pop()
@@ -557,32 +623,49 @@ def tree_from_dict(data: dict) -> Tree:
     entries = _json(model["nodes"], list, "nodes")
     if not entries:
         raise ValueError("tree model has no nodes")
-    no_counts = [0] * k
-    rows = []
+    at, splits, leaves = [], [], []  # the splits' node ids and fields, the leaves' counts
     for nid, entry in enumerate(entries):
         if not isinstance(entry, dict):  # inline: the message is built only on failure
             raise _wrong_json(entry, dict, f"node {nid}")
         try:
             kind = entry["kind"]
             if kind == "split":
-                rows.append((entry["feature"], entry["threshold"], entry["left"],
-                             entry["right"], no_counts, True))
+                at.append(nid)
+                splits.append((entry["feature"], entry["threshold"], entry["left"],
+                               entry["right"]))
             elif kind == "leaf":
                 counts = entry["counts"]
                 if not isinstance(counts, list):
                     raise _wrong_json(counts, list, f"node {nid}: counts")
                 if len(counts) != k:
                     raise ValueError(f"node {nid}: counts has {len(counts)} entries, K is {k}")
-                rows.append((-1, 0.0, -1, -1, counts, False))
+                leaves.append(counts)
             else:
                 raise ValueError(f"node {nid}: kind must be 'split' or 'leaf', got {kind!r}")
         except KeyError as exc:
             raise ValueError(f"node {nid}: missing key {exc}") from None
-    feature, threshold, left, right, counts, split = zip(*rows)
-    feature, left, right, counts = (np.array(a, dtype=np.int64)
-                                    for a in (feature, left, right, counts))
-    threshold, split = np.array(threshold, dtype=np.float64), np.array(split)
-    n, ids = len(rows), np.arange(len(rows))
+    n = len(entries)
+    split = np.zeros(n, dtype=bool)
+    split[at] = True
+    feature, threshold, left, right = columns = tuple(zip(*splits)) or ((),) * 4
+    flat = list(chain.from_iterable(leaves))  # K entries per leaf
+    # each field's JSON type, one column at a time; a message is built only on failure.
+    # A threshold may be an integer, or null, which reads as nan and fails as not finite.
+    number = {int, float, type(None)}
+    for what, column, kinds in (("feature", feature, {int}), ("threshold", threshold, number),
+                                ("left", left, {int}), ("right", right, {int}),
+                                ("a count", flat, {int})):
+        if not kinds.issuperset(map(type, column)):
+            i = next(i for i, value in enumerate(column) if type(value) not in kinds)
+            nid = np.flatnonzero(~split)[i // k] if column is flat else at[i]
+            raise _wrong_json(column[i], float if kinds is number else int,
+                              f"node {nid}: {what}")
+    feature, left, right = np.full((3, n), -1)
+    threshold, counts = np.zeros(n), np.zeros((n, k), dtype=np.int64)
+    for array, column in zip((feature, threshold, left, right), columns):
+        array[split] = np.array(column, dtype=array.dtype)
+    counts[~split] = np.array(flat, dtype=np.int64).reshape(-1, k)
+    ids = np.arange(n)
     bad = np.flatnonzero(split & ((feature < 0) | ~np.isfinite(threshold)
                                   | (np.minimum(left, right) <= ids)
                                   | (np.maximum(left, right) >= n)))

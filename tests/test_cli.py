@@ -207,6 +207,31 @@ class TestPredict:
               ({"rng_seed": "x"}, "rng_seed must be an integer, got str"),
               ({"bootstrap": "no"}, "bootstrap must be true or false, got str"),
           ]),
+        *(({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+            {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2, **split},
+            {"kind": "leaf", "counts": counts}, {"kind": "leaf", "counts": [0, 1]}]}, message)
+          for split, counts, message in [
+              ({"feature": 1.5}, [1, 1], "node 0: feature must be a JSON integer, got float"),
+              ({"feature": True}, [1, 1], "node 0: feature must be a JSON integer, got bool"),
+              ({"threshold": "0.5"}, [1, 1], "node 0: threshold must be a JSON number, got str"),
+              ({"threshold": True}, [1, 1], "node 0: threshold must be a JSON number, got bool"),
+              ({"left": True}, [1, 1], "node 0: left must be a JSON integer, got bool"),
+              ({"left": 1.9}, [1, 1], "node 0: left must be a JSON integer, got float"),
+              ({"right": 2.0}, [1, 1], "node 0: right must be a JSON integer, got float"),
+              ({}, [3.7, 1], "node 1: a count must be a JSON integer, got float"),
+              ({}, ["3", 1], "node 1: a count must be a JSON integer, got str"),
+              ({}, [1, False], "node 1: a count must be a JSON integer, got bool"),
+          ]),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}}, "K": 2,
+          "trees": [{"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+              {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+              {"kind": "leaf", "counts": [1, 1]}, {"kind": "leaf", "counts": [0, 1.0]}]}]},
+         "tree 0: node 2: a count must be a JSON integer, got float"),
+        ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}}, "K": 2,
+          "trees": [{"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+              {"kind": "split", "feature": True, "threshold": 0.5, "left": 1, "right": 2},
+              {"kind": "leaf", "counts": [1, 1]}, {"kind": "leaf", "counts": [0, 1]}]}]},
+         "tree 0: node 0: feature must be a JSON integer, got bool"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, blob_csv, capsys, content, message):
         model = tmp_path / "model.json"

@@ -1,9 +1,14 @@
 """Forest training, averaging, determinism, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robust_trees import tree
 
 from robust_trees.criteria import CriterionSpec
 from robust_trees.forest import (
@@ -18,6 +23,7 @@ from robust_trees.forest import (
     save_forest,
 )
 from robust_trees.tree import TreeParams, fit, predict_batch, tree_from_dict, tree_to_dict
+from test_split_search import SPECS
 
 
 def _blobs(seed=7, n=300, d=8):
@@ -84,6 +90,69 @@ class TestFitForest:
         assert forest.params.tree_params.feature_subsample is None  # input unchanged
         # trees saw 3 = ceil(sqrt(9)) features per split; indirectly: fit succeeded
         assert len(forest.trees) == 2
+
+
+def _depth_first_forest(X, y, k, params: ForestParams) -> list[dict]:
+    """The trees of a forest by the plain depth-first loop, one tree after
+    another: each tree's generator draws its bootstrap resample, which is
+    binned alone, and then its features node by node in preorder, and every
+    node is searched alone."""
+    n, d = X.shape
+    tp = params.tree_params
+    spec, msl, max_depth = tp.criterion, tp.min_samples_leaf, tp.max_depth
+    subsample = tp.feature_subsample or min(d, math.ceil(math.sqrt(d)))
+    trees = []
+    for seed in np.random.SeedSequence(params.rng_seed).spawn(params.n_trees):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        Xt, yt = X[rows], y[rows]
+        bins = tree._bin_columns(Xt, yt, k)
+        nodes = []
+
+        def grow(idx, depth):
+            counts = np.bincount(yt[idx], minlength=k)
+            found = None
+            if (np.count_nonzero(counts) > 1 and (max_depth is None or depth < max_depth)
+                    and idx.size >= 2 * msl):
+                feats = None
+                if subsample < d:
+                    feats = np.sort(rng.choice(d, size=subsample, replace=False))
+                found = tree._best_split(spec, bins, idx, feats, counts, n, msl)
+            nodes.append({"kind": "leaf", "counts": counts.tolist()})
+            if found is not None and found[0] > spec.halting_slack:
+                _, f, t = found
+                mask = Xt[idx, f] <= t
+                nodes[-1] = node = {"kind": "split", "feature": f, "threshold": t}
+                node["left"] = len(nodes)
+                grow(idx[mask], depth + 1)
+                node["right"] = len(nodes)
+                grow(idx[~mask], depth + 1)
+
+        grow(np.arange(n), 0)
+        trees.append({"criterion": spec.to_dict(), "K": k, "nodes": nodes})
+    return trees
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), one_hot=st.integers(0, 4),
+       tied=st.integers(0, 3), k=st.integers(2, 4), spec=st.sampled_from(SPECS),
+       bootstrap=st.booleans(), every_feature=st.booleans(),
+       max_depth=st.one_of(st.none(), st.integers(1, 8)), min_samples_leaf=st.integers(1, 4),
+       n_trees=st.integers(1, 6))
+def test_lockstep_forest_equals_a_depth_first_forest(seed, n, one_hot, tied, k, spec, bootstrap,
+                                                     every_feature, max_depth,
+                                                     min_samples_leaf, n_trees):
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 3, (n, one_hot + 1))  # one-hot columns of a few categories
+    X = np.column_stack([(levels == v).astype(float) for v in range(3)]
+                        + [np.round(rng.normal(0, 1, (n, tied)), 1)])  # tied continuous
+    y = rng.integers(0, k, n)
+    d = X.shape[1]
+    params = ForestParams(TreeParams(spec, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                                     feature_subsample=d if every_feature else None),
+                          n_trees=n_trees, bootstrap=bootstrap, rng_seed=seed)
+    forest = forest_to_dict(fit_forest(X, y, params, n_classes=k))
+    assert json.dumps(forest["trees"]) == json.dumps(_depth_first_forest(X, y, k, params))
 
 
 class TestPredictForest:

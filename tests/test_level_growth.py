@@ -3,8 +3,10 @@
 ``tree.fit`` grows nodes of ``tree._LEVEL_ROWS`` rows or more depth-first,
 each searched by ``tree._best_split``.  Smaller nodes wait, and then grow
 together, one ``tree._best_splits`` call per level.  That call must give
-every node the bits ``_best_split`` gives it, whichever way it counts, and
-a fit must give the JSON of a fit that grows every node depth-first.
+every node the bits ``_best_split`` gives it, over every feature or over
+each node's own drawn features (as a forest searches its trees' small
+nodes), whichever way it counts, and a fit must give the JSON of a fit
+that grows every node depth-first.
 """
 
 import json
@@ -34,9 +36,9 @@ def _bits(value) -> int:
        kinds=st.lists(st.sampled_from(["low", "mixed", "continuous"]), min_size=1, max_size=5),
        n=st.integers(2, 60), k=st.integers(2, 4), spec=st.sampled_from(SPECS),
        min_samples_leaf=st.integers(1, 4), nodes=st.integers(1, 6), twin=st.booleans(),
-       edges=st.booleans(), counted=st.booleans())
+       edges=st.booleans(), counted=st.booleans(), subset=st.booleans())
 def test_batched_search_equals_the_lone_search(seed, kinds, n, k, spec, min_samples_leaf,
-                                               nodes, twin, edges, counted):
+                                               nodes, twin, edges, counted, subset):
     rng = np.random.default_rng(seed)
     X = np.column_stack([_column(rng, kind, n) for kind in kinds])
     if twin:  # a copy of the first feature ties with it on every candidate
@@ -48,13 +50,18 @@ def test_batched_search_equals_the_lone_search(seed, kinds, n, k, spec, min_samp
     # nodes of 1 to n rows, drawn with repeats as in a bootstrap resample
     idx = [rng.integers(0, n, rng.integers(1, n + 1)) for _ in range(nodes)]
     counts = np.array([np.bincount(y[i], minlength=k) for i in idx])
+    feats = [None] * nodes
+    if subset:  # each node its own sorted draw of f features, as a forest's trees make
+        f = rng.integers(1, X.shape[1] + 1)
+        feats = np.array([np.sort(rng.choice(X.shape[1], size=f, replace=False))
+                          for _ in range(nodes)])
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tree, "_use_histogram", lambda bins, rows, features: counted)
         scores, features, thresholds = tree._best_splits(
             spec, bins, np.concatenate(idx), np.array([i.size for i in idx]), counts, n,
-            min_samples_leaf)
-        for j, (i, c) in enumerate(zip(idx, counts)):
-            found = tree._best_split(spec, bins, i, None, c, n, min_samples_leaf)
+            min_samples_leaf, feats if subset else None)
+        for j, (i, c, chosen) in enumerate(zip(idx, counts, feats)):
+            found = tree._best_split(spec, bins, i, chosen, c, n, min_samples_leaf)
             if found is None:
                 assert scores[j] == -np.inf and features[j] == -1
             else:
@@ -121,8 +128,8 @@ def test_hybrid_fit_equals_a_depth_first_fit_on_larger_data(spec, kw, monkeypatc
 
 def test_subsampled_fits_never_defer(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a subsampled fit searched nodes together")
-    monkeypatch.setattr(tree, "_best_splits", refuse)
+        raise AssertionError("a subsampled fit grew nodes level by level")
+    monkeypatch.setattr(tree, "_grow_levels", refuse)
     X, y = separable_categorical(n=300, seed=7)
     fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")), n_trees=2))
     fit(X, y, TreeParams(CriterionSpec("gini"), feature_subsample=3))
