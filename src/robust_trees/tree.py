@@ -25,13 +25,15 @@ their left class counts out class-major (K rows of candidates) for one
 along the long candidate axis.  So the way of counting changes speed,
 never the tree.
 
-Nodes of ``_LEVEL_ROWS`` (128) rows or more grow depth-first, one search
-each.  A smaller node waits until no larger one is left; then all waiting
-subtrees grow together, one level per step: one ``bincount`` counts the
-classes of every node of the level, one search covers all of them that can
-split, its way of counting picked once for the level, and one stable
-argsort moves their rows to the children.  The search gives each node the
-bits its own search would, so the tree is the same.  A fit that draws
+One function, :func:`_best_splits`, searches every node, alone or
+together with others; a node's answer does not depend on the nodes searched
+with it, and a search of one node skips the bookkeeping that tells nodes
+apart.  Nodes of ``_LEVEL_ROWS`` (128) rows or more grow depth-first, each
+searched alone.  A smaller node waits until no larger one is left; then all
+waiting subtrees grow together, one level per step: one ``bincount`` counts
+the classes of every node of the level, one search covers all of them that
+can split, its way of counting picked once for the level, and one stable
+argsort moves their rows to the children.  A fit that draws
 features per split, as a forest's trees do, grows every node depth-first,
 so that its draws keep their preorder.  A forest's trees grow in lockstep
 over one binning of the forest's data, each on row ids into it (with a
@@ -171,83 +173,6 @@ def _use_histogram(bins: int, rows: int, features: int) -> bool:
     return 4 * bins <= rows * features
 
 
-def _best_split(
-    spec: CriterionSpec,
-    bins: _Bins,
-    idx: np.ndarray,
-    feats: np.ndarray | None,
-    parent_counts: np.ndarray,
-    dataset_size: int,
-    min_samples_leaf: int,
-):
-    """Best (score, feature, threshold) at a node, or None.
-
-    The node's rows ``idx`` and candidate features ``feats`` (all when None)
-    select its keys, and :func:`_use_histogram` picks how to count them (see
-    the module docstring).  Candidates leave ``min_samples_leaf`` rows per
-    side and are listed feature-major with ascending thresholds, so the
-    first argmax takes the lowest feature index, then the lowest threshold.
-    """
-    k = parent_counts.shape[0]
-    if feats is None:
-        key, first = bins.keys[idx], bins.first
-    else:  # the offsets of the candidate features' bins, numbered from 0
-        first = np.zeros(feats.size + 1, dtype=np.intp)
-        np.cumsum(bins.first[feats + 1] - bins.first[feats], out=first[1:])
-        key = bins.keys[idx[:, None], feats]
-    n, d = key.shape
-    counted = _use_histogram(int(first[-1]), n, d)
-    if counted:
-        if feats is not None:  # renumber the bins from 0, as first does
-            shift = bins.first[feats] - first[:-1]
-            key -= (shift * k).astype(key.dtype)
-        hist = np.bincount(key.ravel(), minlength=int(first[-1]) * k).reshape(-1, k)
-        seq = np.flatnonzero(hist.any(axis=1))  # nonempty bins, feature-major
-        owner = np.searchsorted(first, seq, side="right") - 1
-        # row i: the left counts of a boundary after nonempty bin i
-        left = hist[seq].cumsum(axis=0) - owner[:, None] * parent_counts
-        valid = owner[:-1] == owner[1:]
-        if min_samples_leaf > 1:
-            sizes = left[:-1].sum(axis=1)
-    else:
-        key = np.ascontiguousarray(key.T)  # one row per feature
-        key.sort(axis=1)
-        seq = key // k  # the bins of the sorted rows
-        # valid[f, i]: a boundary between sorted rows i and i + 1 of feature f
-        valid = np.zeros((d, n), dtype=bool)
-        np.not_equal(seq[:, 1:], seq[:, :-1], out=valid[:, :-1])
-        if min_samples_leaf > 1:
-            sizes = np.arange(1, n + 1)
-    if min_samples_leaf > 1:
-        valid &= (sizes >= min_samples_leaf) & (n - sizes >= min_samples_leaf)
-    at = np.flatnonzero(valid)
-    if at.size == 0:
-        return None
-    if counted:
-        left = np.ascontiguousarray(left[at].T)
-    else:
-        onehot = key - seq * k == np.arange(k)[:, None, None]  # class-major: K x d x n
-        # 32-bit running counts halve the memory the sweep writes; every count fits
-        cum = onehot.cumsum(axis=2, dtype=np.int32 if n < 2**31 else np.int64)
-        left = np.take(cum.reshape(k, d * n), at, axis=1)
-        seq = seq.ravel()
-    scores = split_scores(spec, parent_counts, left.T, dataset_size)
-    best = int(np.argmax(scores))
-    i = int(at[best])
-    lo, hi = seq[i], seq[i + 1]
-    if counted:
-        f = int(owner[i])
-        if feats is not None:  # back to the fit's bin numbers
-            lo, hi = lo + shift[f], hi + shift[f]
-    else:
-        f = i // n
-    if feats is not None:
-        f = int(feats[f])
-    lo, hi = float(bins.values[lo]), float(bins.values[hi])
-    mid = (lo + hi) / 2.0  # Python floats overflow to inf without a warning
-    return float(scores[best]), f, mid if lo <= mid < hi else lo
-
-
 def _best_splits(
     spec: CriterionSpec,
     bins: _Bins,
@@ -259,51 +184,62 @@ def _best_splits(
     feats: np.ndarray | None = None,
 ):
     """Best (scores, features, thresholds) of S nodes, searched together; a
-    node without a candidate scores -inf.
+    node without a candidate scores -inf, with feature -1.
 
     ``rows`` lists the nodes' rows node after node, ``sizes`` how many each
     has and ``parent_counts`` (S x K) their class counts.  ``feats`` (S x f,
     each row sorted) gives each node its candidate features, every feature
-    when None.  Each node gets the answer :func:`_best_split` gives it, bit
-    for bit: its candidates are listed feature-major with ascending
-    thresholds, so its first maximum is at the lowest feature, then the
-    lowest threshold.  Every (node, candidate feature) pair counts as a
-    feature of its own, with its bins numbered after those of the pairs
+    when None.  A node's candidates leave ``min_samples_leaf`` rows per side
+    and are listed feature-major with ascending thresholds; the first
+    maximum wins, at the lowest feature, then the lowest threshold, whatever
+    nodes are searched with it.  Every (node, candidate feature) pair counts
+    as a feature of its own, with its bins numbered after those of the pairs
     before it, so :func:`_use_histogram` picks how to count from the bins of
     the candidate features over all S nodes.
     """
     s, k = parent_counts.shape
-    seg = np.repeat(np.arange(s), sizes)  # each row's node
-    # pair (node j, candidate column c) numbers its feature's width[j, c] bins
-    # after those of the pairs before it: fit bin b is search bin b + shift[j, c]
+    # Only a search of several nodes does the bookkeeping that tells nodes apart
+    # (each ``if many`` below): run for one node too, it made the one-node
+    # searches of the benchmark workloads take 1.4-1.9x as long.
+    many = s > 1
+    seg = np.repeat(np.arange(s), sizes) if many else 0  # each row's node, 0 broadcasts
+    # fit bin b of pair (node j, candidate column c) is search bin b + shift[j, c],
+    # and the pair's width[j * d + c] search bins follow those of the pairs before it
     if feats is None:
         key = bins.keys[rows]
-        feats = np.broadcast_to(np.arange(key.shape[1]), (s, key.shape[1]))
-        width = np.broadcast_to(np.diff(bins.first), feats.shape)
-        shift = np.arange(s)[:, None] * bins.first[-1]  # a node's columns shift alike
+        width = bins.first[1:] - bins.first[:-1]
+        nbins = s * int(bins.first[-1])
+        if many:  # a node's columns shift alike
+            shift = np.arange(s)[:, None] * bins.first[-1]
+            width = np.tile(width, s)
     else:
         key = bins.keys[rows[:, None], feats[seg]]
-        width = bins.first[feats + 1] - bins.first[feats]
-        shift = (np.cumsum(width) - width.ravel()).reshape(width.shape) - bins.first[feats]
+        width = (bins.first[feats + 1] - bins.first[feats]).ravel()
+        end = np.cumsum(width)
+        nbins = int(end[-1])
+        shift = (end - width).reshape(feats.shape) - bins.first[feats]
     r, d = key.shape
-    nbins = int(shift[-1, -1] + bins.first[feats[-1, -1] + 1])
     if nbins * k >= 2**31:
         key = key.astype(np.intp)
-    key += (shift * k).astype(key.dtype)[seg]
-    # the class counts of the nodes before each one, which a running count carries
-    before = np.cumsum(parent_counts, axis=0) - parent_counts
+    if many or feats is not None:
+        key += (shift * k).astype(key.dtype)[seg]
+    if many:  # the class counts of the nodes before each one, which a running count carries
+        before = np.cumsum(parent_counts, axis=0) - parent_counts
     counted = _use_histogram(nbins, r, d)
     if counted:
         hist = np.bincount(key.ravel(), minlength=nbins * k).reshape(-1, k)
         seq = np.flatnonzero(np.add.reduce(hist.T, axis=0))  # nonempty bins, pair-major
-        owner = np.repeat(np.arange(s * d), width.ravel())[seq]  # their (node, column) pairs
+        owner = np.repeat(np.arange(width.size), width)[seq]  # their (node, column) pairs
         at = np.flatnonzero(owner[:-1] == owner[1:])  # a boundary after nonempty bin at
-        cand = owner[at] // d
+        left = np.take(np.take(hist.T, seq, axis=1).cumsum(axis=1), at, axis=1)
         # before a pair, the running count has passed every column of the
         # earlier nodes and the earlier columns of this one
-        carried = before[:, None] * d + np.arange(d)[:, None] * parent_counts[:, None]
-        left = (np.take(hist.T, seq, axis=1).cumsum(axis=1)[:, at]
-                - np.take(carried.reshape(-1, k).T, owner[at], axis=1))
+        if many:
+            cand = owner[at] // d
+            carried = before[:, None] * d + np.arange(d)[:, None] * parent_counts[:, None]
+            left -= np.take(carried.reshape(-1, k).T, owner[at], axis=1)
+        else:
+            left -= parent_counts.T * owner[at]
     else:
         key = np.ascontiguousarray(key.T)  # one row per column
         key.sort(axis=1)  # by node, then key
@@ -311,35 +247,54 @@ def _best_splits(
         # valid[c, i]: a boundary between sorted rows i and i + 1 of one node
         valid = np.zeros((d, r), dtype=bool)
         np.not_equal(seq[:, 1:], seq[:, :-1], out=valid[:, :-1])
-        valid[:, :-1] &= seg[1:] == seg[:-1]
+        if many:
+            valid[:, :-1] &= seg[1:] == seg[:-1]
         at = np.flatnonzero(valid)
-        cand = seg[at % r]
         onehot = key - seq * k == np.arange(k)[:, None, None]  # class-major: K x d x r
         # 32-bit running counts halve the memory the sweep writes; every count fits
         cum = onehot.cumsum(axis=2, dtype=np.int32 if r < 2**31 else np.int64)
-        left = np.take(cum.reshape(k, d * r), at, axis=1) - before.T[:, cand]
+        left = np.take(cum.reshape(k, d * r), at, axis=1)
+        if many:
+            cand = seg[at % r]
+            left = left - before.T[:, cand]
         seq = seq.ravel()
     if min_samples_leaf > 1:
         n_left = left.sum(axis=0)
-        keep = (n_left >= min_samples_leaf) & (sizes[cand] - n_left >= min_samples_leaf)
-        at, cand, left = at[keep], cand[keep], left[:, keep]
-    best, feature, threshold = np.full(s, -np.inf), np.full(s, -1), np.zeros(s)
+        right = (sizes[cand] if many else sizes[0]) - n_left
+        keep = (n_left >= min_samples_leaf) & (right >= min_samples_leaf)
+        at, left = at[keep], left[:, keep]
+        if many:
+            cand = cand[keep]
     if at.size == 0:
-        return best, feature, threshold
-    scores = split_scores(spec, parent_counts, left.T, dataset_size, node=cand)
-    np.maximum.at(best, cand, scores)
-    hits = np.flatnonzero(scores == best[cand])
-    first_hit = np.full(s, at.size)
-    np.minimum.at(first_hit, cand[hits], hits)  # each node's first maximum
-    won = np.flatnonzero(first_hit < at.size)
-    i = at[first_hit[won]]
+        return np.full(s, -np.inf), np.full(s, -1), np.zeros(s)
+    if many:
+        # an empty node has no candidate; a count of 1 keeps its unused terms finite
+        parents = np.maximum(parent_counts, sizes[:, None] == 0)
+        scores = split_scores(spec, parents, left.T, dataset_size, node=cand)
+        best = np.full(s, -np.inf)
+        np.maximum.at(best, cand, scores)
+        hits = np.flatnonzero(scores == best[cand])
+        first_hit = np.full(s, at.size)
+        np.minimum.at(first_hit, cand[hits], hits)  # each node's first maximum
+        won = np.flatnonzero(first_hit < at.size)
+        i = at[first_hit[won]]
+    else:
+        scores = split_scores(spec, parent_counts[0], left.T, dataset_size)
+        hit = np.argmax(scores)
+        best, won, i = scores[hit:hit + 1], 0, int(at[hit])
+    feature, threshold = np.full(s, -1), np.zeros(s)
     col = owner[i] % d if counted else i // r
-    feature[won] = feats[won, col]
-    step = np.broadcast_to(shift, (s, d))[won, col]  # back to the fit's bin numbers
+    feature[won] = col if feats is None else feats[won, col]
+    step = won * bins.first[-1] if feats is None else shift[won, col]  # to the fit's bins
     lo, hi = bins.values[seq[i] - step], bins.values[seq[i + 1] - step]
-    with np.errstate(over="ignore"):
-        mid = (lo + hi) / 2.0
-    threshold[won] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    if many:
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        threshold[won] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    else:
+        lo, hi = float(lo), float(hi)
+        mid = (lo + hi) / 2.0  # Python floats overflow to inf without a warning
+        threshold[0] = mid if lo <= mid < hi else lo
     return best, feature, threshold
 
 
@@ -408,8 +363,9 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
     is popped.  In a fit that draws no features a smaller node waits, and
     all waiting nodes grow level by level once the stack is empty.  In one
     that draws, every tree pops up to its next smaller node that can split,
-    and one call searches the nodes of all trees together (a lone one is
-    searched alone).  Every node weighs its rows against n, the rows of X.
+    and one call searches the nodes of all trees together.  Every search,
+    of one node or many, is one :func:`_best_splits` call.  Every node
+    weighs its rows against n, the rows of X.
     """
     n, d = X.shape
     spec, msl, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
@@ -426,19 +382,23 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
     # stack entries: (row ids into X, depth, parent node id, is a right child)
     stacks = [[(rows, 0, -1, False)] for rows in roots]
 
-    def settle(t, node, counts, found):
-        """Record tree t's node as a split or a leaf, and push a split's children."""
-        idx, depth, parent, is_right = node
-        nid = len(made[t])
-        if found is None or not found[0] > spec.halting_slack:
-            made[t].append((parent, is_right, -1, 0.0, counts))
-            return
-        feature, threshold = found[1:]
-        made[t].append((parent, is_right, feature, threshold, no_counts))
-        mask = X[idx, feature] <= threshold
-        # right pushed first so the left child is grown (and numbered) first
-        stacks[t].append((idx[~mask], depth + 1, nid, True))
-        stacks[t].append((idx[mask], depth + 1, nid, False))
+    def search(nodes):
+        """Search the (tree, stack entry, counts, candidate features) nodes in
+        one call; record each as a split or a leaf, and push a split's children."""
+        _, entries, counts, feats = zip(*nodes)
+        found = _best_splits(spec, bins, np.concatenate([idx for idx, *_ in entries]),
+                             np.array([idx.size for idx, *_ in entries]), np.array(counts),
+                             n, msl, np.array(feats) if draw else None)
+        for (t, (idx, depth, parent, is_right), c, _), score, f, threshold in zip(nodes, *found):
+            nid = len(made[t])
+            if not score > spec.halting_slack:
+                made[t].append((parent, is_right, -1, 0.0, c))
+                continue
+            made[t].append((parent, is_right, f, threshold, no_counts))
+            mask = X[idx, f] <= threshold
+            # right pushed first so the left child is grown (and numbered) first
+            stacks[t].append((idx[~mask], depth + 1, nid, True))
+            stacks[t].append((idx[mask], depth + 1, nid, False))
 
     live = range(len(roots))
     while live:
@@ -446,30 +406,22 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
         for t in live:
             stack = stacks[t]
             while stack:
-                node = idx, depth, _, _ = stack.pop()
+                node = idx, depth, parent, is_right = stack.pop()
                 if not draw and idx.size < _LEVEL_ROWS:
                     deferred[t].append(node)
                     continue
                 counts = np.bincount(y[idx], minlength=k)
                 if not (np.count_nonzero(counts) > 1 and idx.size >= 2 * msl
                         and (max_depth is None or depth < max_depth)):
-                    settle(t, node, counts, None)
+                    made[t].append((parent, is_right, -1, 0.0, counts))
                     continue
                 feats = np.sort(rngs[t].choice(d, size=subsample, replace=False)) if draw else None
                 if idx.size < _LEVEL_ROWS:
                     small.append((t, node, counts, feats))
                     break
-                settle(t, node, counts, _best_split(spec, bins, idx, feats, counts, n, msl))
-        if len(small) == 1:
-            t, node, counts, feats = small[0]
-            settle(t, node, counts, _best_split(spec, bins, node[0], feats, counts, n, msl))
-        elif small:
-            _, nodes, counts, feats = zip(*small)
-            found = _best_splits(spec, bins, np.concatenate([node[0] for node in nodes]),
-                                 np.array([node[0].size for node in nodes]), np.array(counts),
-                                 n, msl, np.array(feats))
-            for (t, node, c, _), *split in zip(small, *found):
-                settle(t, node, c, split)
+                search([(t, node, counts, feats)])
+        if small:
+            search(small)
         live = [t for t, *_ in small]
 
     trees = []
@@ -608,14 +560,24 @@ def tree_to_dict(tree: Tree) -> dict:
 _TREE_KEYS = ("criterion", "K", "nodes")
 
 
+def _overflows(value, dtype: np.dtype) -> bool:
+    try:
+        dtype.type(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def tree_from_dict(data: dict) -> Tree:
     """Build a tree from its JSON form, checking that it is a well-formed model.
 
     Raises ``ValueError`` naming the first offending part: a value of the
-    wrong JSON type, K below 2, an unknown kind, an unknown or missing key, a split
-    whose feature is negative, whose threshold is not finite or whose
-    children are not numbered after it and inside the tree, or leaf counts
-    that are not K nonnegative entries with a positive total.
+    wrong JSON type, an integer beyond int64 (beyond float64 for a threshold),
+    K below 2, an unknown kind, an unknown or missing key, a split whose
+    feature is negative, whose threshold is not finite or whose children are
+    not numbered after it and inside the tree, a node other than the root
+    that is not the child of exactly one split, or leaf counts that are not
+    K nonnegative entries with a positive total.
     """
     model = _read("tree model", data, _TREE_KEYS, _TREE_KEYS)
     spec = CriterionSpec.from_dict(model["criterion"])
@@ -647,24 +609,30 @@ def tree_from_dict(data: dict) -> Tree:
     n = len(entries)
     split = np.zeros(n, dtype=bool)
     split[at] = True
-    feature, threshold, left, right = columns = tuple(zip(*splits)) or ((),) * 4
+    fields = tuple(zip(*splits)) or ((),) * 4
     flat = list(chain.from_iterable(leaves))  # K entries per leaf
-    # each field's JSON type, one column at a time; a message is built only on failure.
-    # A threshold may be an integer, or null, which reads as nan and fails as not finite.
-    number = {int, float, type(None)}
-    for what, column, kinds in (("feature", feature, {int}), ("threshold", threshold, number),
-                                ("left", left, {int}), ("right", right, {int}),
-                                ("a count", flat, {int})):
-        if not kinds.issuperset(map(type, column)):
-            i = next(i for i, value in enumerate(column) if type(value) not in kinds)
-            nid = np.flatnonzero(~split)[i // k] if column is flat else at[i]
-            raise _wrong_json(column[i], float if kinds is number else int,
-                              f"node {nid}: {what}")
     feature, left, right = np.full((3, n), -1)
     threshold, counts = np.zeros(n), np.zeros((n, k), dtype=np.int64)
-    for array, column in zip((feature, threshold, left, right), columns):
-        array[split] = np.array(column, dtype=array.dtype)
-    counts[~split] = np.array(flat, dtype=np.int64).reshape(-1, k)
+    # each field's JSON type, then its range, one column at a time; a message is built
+    # only on failure. A threshold may be an integer, or null, which reads as nan and
+    # fails as not finite.
+    number = {int, float, type(None)}
+    node = lambda column, i: np.flatnonzero(~split)[i // k] if column is flat else at[i]
+    for what, column, kinds, array, rows in (
+            ("feature", fields[0], {int}, feature, split),
+            ("threshold", fields[1], number, threshold, split),
+            ("left", fields[2], {int}, left, split), ("right", fields[3], {int}, right, split),
+            ("a count", flat, {int}, counts, ~split)):
+        if not kinds.issuperset(map(type, column)):
+            i = next(i for i, value in enumerate(column) if type(value) not in kinds)
+            raise _wrong_json(column[i], float if kinds is number else int,
+                              f"node {node(column, i)}: {what}")
+        try:
+            array[rows] = np.array(column, dtype=array.dtype).reshape(-1, *array.shape[1:])
+        except OverflowError:  # an integer beyond int64, or beyond float64 for a threshold
+            i = next(i for i, value in enumerate(column) if _overflows(value, array.dtype))
+            raise ValueError(f"node {node(column, i)}: {what} is out of range"
+                             f" for {array.dtype}") from None
     ids = np.arange(n)
     bad = np.flatnonzero(split & ((feature < 0) | ~np.isfinite(threshold)
                                   | (np.minimum(left, right) <= ids)
@@ -672,6 +640,11 @@ def tree_from_dict(data: dict) -> Tree:
     if bad.size:
         raise ValueError(f"node {bad[0]}: a split needs feature >= 0, a finite threshold"
                          f" and both children numbered after it and below {n}")
+    parents = np.bincount(np.concatenate((left[split], right[split])), minlength=n)
+    bad = np.flatnonzero(parents[1:] != 1) + 1  # the root has none, as children follow parents
+    if bad.size:
+        raise ValueError(f"node {bad[0]}: the child of {parents[bad[0]]} splits, where every"
+                         " node but the root must be the child of exactly one")
     bad = np.flatnonzero(~split & ((counts < 0).any(axis=1) | (counts.sum(axis=1) <= 0)))
     if bad.size:
         raise ValueError(f"node {bad[0]}: leaf counts must be nonnegative with a positive total")

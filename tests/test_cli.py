@@ -242,6 +242,24 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("split, counts, message", [
+        ({"feature": 10**23}, [1, 1], "node 0: feature is out of range for int64"),
+        ({"left": 10**23}, [1, 1], "node 0: left is out of range for int64"),
+        ({}, [10**23, 1], "node 1: a count is out of range for int64"),
+        ({"threshold": 10**400}, [1, 1], "node 0: threshold is out of range for float64"),
+    ], ids=["feature", "left", "count", "threshold"])
+    def test_integer_out_of_range_exits_1(self, tmp_path, blob_csv, capsys, split, counts,
+                                          message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+            {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2, **split},
+            {"kind": "leaf", "counts": counts}, {"kind": "leaf", "counts": [0, 1]}]}))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("content, message", [
         ({"criterion": {"kind": "gini", "lamda": 0.5}, "K": 2,
           "nodes": [{"kind": "leaf", "counts": [1, 1]}]}, "criterion has unknown key 'lamda'"),

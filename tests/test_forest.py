@@ -117,10 +117,11 @@ def _depth_first_forest(X, y, k, params: ForestParams) -> list[dict]:
                 feats = None
                 if subsample < d:
                     feats = np.sort(rng.choice(d, size=subsample, replace=False))
-                found = tree._best_split(spec, bins, idx, feats, counts, n, msl)
+                found = tree._best_splits(spec, bins, idx, np.array([idx.size]), counts[None],
+                                          n, msl, None if feats is None else feats[None])
             nodes.append({"kind": "leaf", "counts": counts.tolist()})
-            if found is not None and found[0] > spec.halting_slack:
-                _, f, t = found
+            if found is not None and found[0][0] > spec.halting_slack:
+                f, t = int(found[1][0]), float(found[2][0])
                 mask = Xt[idx, f] <= t
                 nodes[-1] = node = {"kind": "split", "feature": f, "threshold": t}
                 node["left"] = len(nodes)

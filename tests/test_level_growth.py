@@ -1,12 +1,12 @@
 """The hybrid grower: small subtrees grow level by level, searched together.
 
 ``tree.fit`` grows nodes of ``tree._LEVEL_ROWS`` rows or more depth-first,
-each searched by ``tree._best_split``.  Smaller nodes wait, and then grow
-together, one ``tree._best_splits`` call per level.  That call must give
-every node the bits ``_best_split`` gives it, over every feature or over
-each node's own drawn features (as a forest searches its trees' small
-nodes), whichever way it counts, and a fit must give the JSON of a fit
-that grows every node depth-first.
+each searched alone.  Smaller nodes wait, and then grow together, one
+``tree._best_splits`` call per level.  That call must give every node the
+bits a plain loop over the node's candidates gives it, over every feature
+or over each node's own drawn features (as a forest searches its trees'
+small nodes), whichever way it counts, and a fit must give the JSON of a
+fit that grows every node depth-first.
 """
 
 import json
@@ -21,14 +21,10 @@ from robust_trees.criteria import CriterionSpec, split_scores
 from robust_trees.forest import ForestParams, fit_forest
 from robust_trees.tree import TreeParams, fit, tree_to_dict
 from synth import gaussian_blobs, separable_categorical
-from test_split_search import SPECS, _column
+from test_split_search import SPECS, _bits, _column, _loop_search, _search
 
 
 EDGES = np.array([np.nextafter(1.0, 0.0), 1.0, 1.5e308, 1.7e308])
-
-
-def _bits(value) -> int:
-    return int(np.float64(value).view(np.int64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -55,19 +51,10 @@ def test_batched_search_equals_the_lone_search(seed, kinds, n, k, spec, min_samp
         f = rng.integers(1, X.shape[1] + 1)
         feats = np.array([np.sort(rng.choice(X.shape[1], size=f, replace=False))
                           for _ in range(nodes)])
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(tree, "_use_histogram", lambda bins, rows, features: counted)
-        scores, features, thresholds = tree._best_splits(
-            spec, bins, np.concatenate(idx), np.array([i.size for i in idx]), counts, n,
-            min_samples_leaf, feats if subset else None)
-        for j, (i, c, chosen) in enumerate(zip(idx, counts, feats)):
-            found = tree._best_split(spec, bins, i, chosen, c, n, min_samples_leaf)
-            if found is None:
-                assert scores[j] == -np.inf and features[j] == -1
-            else:
-                assert _bits(scores[j]) == _bits(found[0])
-                assert features[j] == found[1]
-                assert _bits(thresholds[j]) == _bits(found[2])
+    found = _search(spec, bins, idx, feats if subset else None, counts, n, min_samples_leaf,
+                    counted)
+    assert found == [_loop_search(spec, X, y, i, chosen, c, n, min_samples_leaf)
+                     for i, chosen, c in zip(idx, feats, counts)]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
@@ -104,8 +91,8 @@ def test_hybrid_fit_equals_a_depth_first_fit(seed, n, d, k, spec, max_depth, min
 def test_a_root_under_the_cut_grows_level_by_level(monkeypatch):
     X, y = gaussian_blobs(20, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], seed=2)  # 60 rows
     calls = []
-    search = tree._best_splits
-    monkeypatch.setattr(tree, "_best_splits", lambda *a: calls.append(1) or search(*a))
+    grow = tree._grow_levels
+    monkeypatch.setattr(tree, "_grow_levels", lambda *a: calls.append(1) or grow(*a))
     params = TreeParams(CriterionSpec("entropy"))
     hybrid = json.dumps(tree_to_dict(fit(X, y, params)))
     assert calls

@@ -1,11 +1,12 @@
 """The one split search and its two ways of counting.
 
-``tree._best_split`` reads each node's per-fit ``bin * K + label`` keys and
+``tree._best_splits`` reads its nodes' per-fit ``bin * K + label`` keys and
 counts them either with one ``bincount`` or by sorting each feature's keys,
-as ``tree._use_histogram`` picks.  Both ways must return the identical
-(score, feature, threshold) on every node, equal to a plain loop over the
-midpoints of the node's distinct values, and a fit must not depend on which
-way each node took.
+as ``tree._use_histogram`` picks.  Both ways must give every node the
+identical (score, feature, threshold), bit for bit, equal to a plain loop
+over the midpoints of the node's distinct values, whether the node is
+searched alone or with others, and a fit must not depend on which way each
+search took.
 """
 
 import json
@@ -37,50 +38,107 @@ def _column(rng, kind: str, n: int) -> np.ndarray:
     return rng.normal(0, 1, n)
 
 
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
 def _loop_search(spec, X, y, idx, feats, parent_counts, dataset_size, min_samples_leaf):
-    """The best split by a loop over each candidate feature's distinct
-    values in the node, scored in one ``split_scores`` call."""
+    """The best split as (score bits, feature, threshold bits), or None, by a
+    loop over each candidate feature's distinct values in the node, scored in
+    one ``split_scores`` call.  A threshold is the midpoint of the values
+    around it, or the lower value when the midpoint is not in [lower, upper)."""
     found, lefts = [], []
     for f in range(X.shape[1]) if feats is None else feats:
         col = X[idx, f]
-        values = np.unique(col)
+        values = np.unique(col).tolist()
         for lo, hi in zip(values[:-1], values[1:]):
             goes_left = col <= lo
             if min(goes_left.sum(), (~goes_left).sum()) >= min_samples_leaf:
-                found.append((int(f), float((lo + hi) / 2.0)))
+                mid = (lo + hi) / 2.0  # Python floats overflow to inf without a warning
+                found.append((int(f), _bits(mid if lo <= mid < hi else lo)))
                 lefts.append(np.bincount(y[idx][goes_left], minlength=parent_counts.size))
     if not found:
         return None
     scores = split_scores(spec, parent_counts, np.array(lefts), dataset_size)
     best = int(np.argmax(scores))
-    return (float(scores[best]), *found[best])
+    return (_bits(scores[best]), *found[best])
+
+
+def _answers(found) -> list:
+    """Each node's (score bits, feature, threshold bits) from a
+    ``_best_splits`` result, or None where the node has no candidate."""
+    answers = []
+    for score, feature, threshold in zip(*found):
+        if feature < 0:
+            assert score == -np.inf and _bits(threshold) == _bits(0.0)
+            answers.append(None)
+        else:
+            answers.append((_bits(score), int(feature), _bits(threshold)))
+    return answers
+
+
+def _search(spec, bins, idx: list, feats, counts, n, min_samples_leaf, counted: bool) -> list:
+    """The answers of one ``_best_splits`` call over the nodes ``idx``,
+    counting their keys as ``counted`` says."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tree, "_use_histogram", lambda bins, rows, features: counted)
+        return _answers(tree._best_splits(spec, bins, np.concatenate(idx),
+                                          np.array([i.size for i in idx]), counts, n,
+                                          min_samples_leaf, feats))
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["low", "mixed", "continuous"]), min_size=1, max_size=6),
        n=st.integers(2, 60), k=st.sampled_from([2, 3]), spec=st.sampled_from(SPECS),
-       min_samples_leaf=st.integers(1, 4), subset=st.booleans(), resample=st.booleans())
+       min_samples_leaf=st.integers(1, 4), subset=st.booleans(), resample=st.booleans(),
+       nodes=st.integers(1, 6))
 def test_histogram_search_equals_sort_search(seed, kinds, n, k, spec, min_samples_leaf,
-                                             subset, resample):
+                                             subset, resample, nodes):
     rng = np.random.default_rng(seed)
     X = np.column_stack([_column(rng, kind, n) for kind in kinds])
     y = rng.integers(0, k, n)
     bins = tree._bin_columns(X, y, k)
-    # a node: a subset of the rows, with repeats as in a bootstrap resample
-    idx = rng.integers(0, n, n) if resample else np.flatnonzero(rng.random(n) < 0.7)
-    feats = None
-    if subset:
-        feats = np.sort(rng.choice(X.shape[1], size=rng.integers(1, X.shape[1] + 1),
-                                   replace=False))
-    counts = np.bincount(y[idx], minlength=k)
-    found = []
-    for counted in (True, False):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(tree, "_use_histogram", lambda bins, rows, features: counted)
-            found.append(tree._best_split(spec, bins, idx, feats, counts, n, min_samples_leaf))
+    # nodes: subsets of the rows (maybe empty), or with repeats as in a bootstrap resample
+    idx = [rng.integers(0, n, n) if resample else np.flatnonzero(rng.random(n) < 0.7)
+           for _ in range(nodes)]
+    feats = [None] * nodes
+    if subset:  # each node its own sorted draw of f features
+        f = rng.integers(1, X.shape[1] + 1)
+        feats = np.array([np.sort(rng.choice(X.shape[1], size=f, replace=False))
+                          for _ in range(nodes)])
+    counts = np.array([np.bincount(y[i], minlength=k) for i in idx])
+    found = [_search(spec, bins, idx, feats if subset else None, counts, n, min_samples_leaf,
+                     counted) for counted in (True, False)]
     assert found[0] == found[1]
-    assert found[0] == _loop_search(spec, X, y, idx, feats, counts, n, min_samples_leaf)
+    assert found[0] == [_loop_search(spec, X, y, i, chosen, c, n, min_samples_leaf)
+                        for i, chosen, c in zip(idx, feats, counts)]
+
+
+# rows 4 and 5 are equal in every feature but not in label
+NO_CANDIDATE_X = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0],
+                           [4.0, 1.0]])
+NO_CANDIDATE_Y = np.array([0, 1, 0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("rows, min_samples_leaf",
+                         [([], 1), ([2], 1), ([4, 5, 4], 1), ([0, 1, 2], 2)],
+                         ids=["empty", "one row", "equal rows", "leaf size"])
+@pytest.mark.parametrize("subset", [False, True], ids=["all features", "subset"])
+@pytest.mark.parametrize("counted", [True, False], ids=["counted", "sorted"])
+def test_a_node_without_a_candidate_scores_minus_inf(rows, min_samples_leaf, subset, counted):
+    X, y = NO_CANDIDATE_X, NO_CANDIDATE_Y
+    n, spec = y.size, CriterionSpec("entropy")
+    bins = tree._bin_columns(X, y, 2)
+    node, other = np.array(rows, dtype=np.intp), np.arange(n)
+    for idx in ([node], [node, other], [other, node]):  # alone, then with a node that splits
+        counts = np.array([np.bincount(y[i], minlength=2) for i in idx])
+        feats = np.array([[1]] * len(idx)) if subset else None
+        found = _search(spec, bins, idx, feats, counts, n, min_samples_leaf, counted)
+        assert found == [None if i is node else
+                         _loop_search(spec, X, y, i, None if feats is None else feats[0], c, n,
+                                      min_samples_leaf) for i, c in zip(idx, counts)]
+        assert None not in [found[j] for j, i in enumerate(idx) if i is other]
 
 
 def test_bins_are_the_distinct_values_in_order():

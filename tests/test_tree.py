@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robust_trees.criteria import ClassHistogram, CriterionSpec, impurity
+from robust_trees.forest import forest_from_dict
 from robust_trees.oracle import exhaustive_early_stop_check
 from robust_trees.tree import (
     Tree,
@@ -257,6 +258,23 @@ class TestLoadValidation:
             data["nodes"][node][key] = value
         with pytest.raises(ValueError, match=f"^{message}"):
             tree_from_dict(data)
+
+    @pytest.mark.parametrize("children, message", [
+        ([(1, 1)], "node 1: the child of 2 splits"),  # one node as both children
+        ([(1, 3), (2, 3)], "node 3: the child of 2 splits"),  # one node under two splits
+        ([(1, 2)], "node 3: the child of 0 splits"),  # a node no split reaches
+    ], ids=["same-children", "two-parents", "unreachable"])
+    def test_a_node_is_the_child_of_one_split(self, children, message):
+        nodes = [{"kind": "split", "feature": 0, "threshold": 0.5, "left": left, "right": right}
+                 for left, right in children]
+        nodes += [{"kind": "leaf", "counts": [1, 1]}] * (4 - len(nodes))
+        data = {"criterion": {"kind": "gini"}, "K": 2, "nodes": nodes}
+        with pytest.raises(ValueError, match=f"^{message}, where every node but the root"):
+            tree_from_dict(data)
+        forest = {"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
+                  "K": 2, "trees": [data]}
+        with pytest.raises(ValueError, match=f"^tree 0: {message}"):
+            forest_from_dict(forest)
 
     def test_missing_top_level_key(self):
         data = _stump_model()
