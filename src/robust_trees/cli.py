@@ -158,6 +158,9 @@ def cmd_predict(parser, args) -> int:
         y = None
     else:
         ds = _load_dataset(args)
+        if ds.n_classes > model.n_classes:
+            raise ValueError(f"the data has {ds.n_classes} classes, more than the"
+                             f" model's {model.n_classes}")
         X, y = ds.features, ds.labels
     classes, dists = dataeng._model_predictions(model, X)
     if args.out:

@@ -25,23 +25,26 @@ their left class counts out class-major (K rows of candidates) for one
 along the long candidate axis.  So the way of counting changes speed,
 never the tree.
 
-One function, :func:`_best_splits`, searches every node, alone or
-together with others; a node's answer does not depend on the nodes searched
-with it, and a search of one node skips the bookkeeping that tells nodes
-apart.  Nodes of ``_LEVEL_ROWS`` (128) rows or more grow depth-first, each
-searched alone.  A smaller node waits until no larger one is left; then all
-waiting subtrees grow together, one level per step: one ``bincount`` counts
-the classes of every node of the level, one search covers all of them that
-can split, its way of counting picked once for the level, and one stable
-argsort moves their rows to the children.  A fit that draws
-features per split, as a forest's trees do, grows every node depth-first,
-so that its draws keep their preorder.  A forest's trees grow in lockstep
-over one binning of the forest's data, each on row ids into it (with a
-bootstrap's repeats): every tree pops nodes up to its next one under
-``_LEVEL_ROWS`` rows that can split, and one search covers those nodes of
-all trees, each (node, drawn feature) pair counted as a feature of its
-own.  Binning the whole data instead of a resample changes no answer, as
-the search skips the bins that are empty in a node.
+One function, :func:`_best_splits`, searches every node, alone or together
+with others; a node's answer does not depend on the nodes searched with it,
+and a search of one node skips the bookkeeping that tells nodes apart.
+Nodes of ``_LEVEL_ROWS`` (128) rows or more grow depth-first, each searched
+alone; in a fit that draws no features, a split of such a node counted with
+``bincount`` counts only its smaller child and gives the larger one the
+parent's counts less the smaller's (histogram subtraction, as in LightGBM):
+the same integers, so the same tree.  A smaller node waits until no larger
+one is left; then all waiting subtrees grow together, one level per step:
+one ``bincount`` counts the classes of every node of the level, one search
+covers all of them that can split, its way of counting picked once for the
+level, and one stable argsort moves their rows to the children.  A fit that
+draws features per split, as a forest's trees do, grows every node
+depth-first, so that its draws keep their preorder.  A forest's trees grow
+in lockstep over one binning of the forest's data, each on row ids into it
+(with a bootstrap's repeats): every tree pops nodes up to its next one
+under ``_LEVEL_ROWS`` rows that can split, and one search covers those
+nodes of all trees, each (node, drawn feature) pair counted as a feature of
+its own.  Binning the whole data instead of a resample changes no answer,
+as the search skips the bins that are empty in a node.
 
 A threshold is the midpoint of the two values around its boundary, or the
 lower value when the midpoint is not in [lower, upper) (it rounds onto the
@@ -151,18 +154,23 @@ def _bin_columns(X: np.ndarray, y: np.ndarray, k: int) -> _Bins:
     values = [np.unique(col) for col in X.T]
     # each column's bin codes (< n) first, then the keys
     keys = np.empty((n, d), dtype=np.int32 if n < 2**31 else np.intp)
+    # one pass over X, comparing each value with its column's lowest, codes
+    # every column of one or two values (a pass column by column took 6x as long)
+    np.greater(X, [v[0] for v in values], out=keys, casting="unsafe")
     for f, (col, v) in enumerate(zip(X.T, values)):
         # a lookup among a few values is cheap; among many, an argsort is
         # (a skewed low-cardinality column is argsort's slow case)
-        keys[:, f] = (np.searchsorted(v, col) if 4 * v.size <= n
-                      else np.unique(col, return_inverse=True)[1])
+        if v.size > 2:
+            keys[:, f] = (np.searchsorted(v, col) if 4 * v.size <= n
+                          else np.unique(col, return_inverse=True)[1])
     first = np.zeros(d + 1, dtype=np.intp)
     np.cumsum([v.size for v in values], out=first[1:])
     if int(first[-1]) * k >= 2**31:
         keys = keys.astype(np.intp)
-    keys += first[:-1]
+    # (bin + first) * K + label, each term in the keys' own dtype
     keys *= k
-    keys += y[:, None]
+    keys += (first[:-1] * k).astype(keys.dtype)
+    keys += y.astype(keys.dtype)[:, None]
     return _Bins(keys, np.concatenate(values), first)
 
 
@@ -171,6 +179,12 @@ def _use_histogram(bins: int, rows: int, features: int) -> bool:
     sort: the bins of its candidate features (over all its nodes) are few
     against the (row, feature) cells it counts."""
     return 4 * bins <= rows * features
+
+
+def _histogram(key: np.ndarray, nbins: int, k: int) -> np.ndarray:
+    """The class counts of a search's ``bin * K + label`` keys, one row of K
+    (int64) per search bin: the one way a node's keys are counted."""
+    return np.bincount(key.ravel(), minlength=nbins * k).reshape(-1, k)
 
 
 def _best_splits(
@@ -182,6 +196,7 @@ def _best_splits(
     dataset_size: int,
     min_samples_leaf: int,
     feats: np.ndarray | None = None,
+    hist: np.ndarray | None = None,
 ):
     """Best (scores, features, thresholds) of S nodes, searched together; a
     node without a candidate scores -inf, with feature -1.
@@ -195,7 +210,9 @@ def _best_splits(
     nodes are searched with it.  Every (node, candidate feature) pair counts
     as a feature of its own, with its bins numbered after those of the pairs
     before it, so :func:`_use_histogram` picks how to count from the bins of
-    the candidate features over all S nodes.
+    the candidate features over all S nodes.  ``hist``, given for one node
+    searched on every feature, is the :func:`_histogram` of its keys: the
+    search then reads and counts no key.
     """
     s, k = parent_counts.shape
     # Only a search of several nodes does the bookkeeping that tells nodes apart
@@ -206,7 +223,7 @@ def _best_splits(
     # fit bin b of pair (node j, candidate column c) is search bin b + shift[j, c],
     # and the pair's width[j * d + c] search bins follow those of the pairs before it
     if feats is None:
-        key = bins.keys[rows]
+        key = bins.keys[rows] if hist is None else None  # a given histogram needs no key
         width = bins.first[1:] - bins.first[:-1]
         nbins = s * int(bins.first[-1])
         if many:  # a node's columns shift alike
@@ -218,16 +235,16 @@ def _best_splits(
         end = np.cumsum(width)
         nbins = int(end[-1])
         shift = (end - width).reshape(feats.shape) - bins.first[feats]
-    r, d = key.shape
-    if nbins * k >= 2**31:
+    r, d = rows.size, width.size // s
+    if nbins * k >= 2**31 and key is not None:
         key = key.astype(np.intp)
     if many or feats is not None:
         key += (shift * k).astype(key.dtype)[seg]
     if many:  # the class counts of the nodes before each one, which a running count carries
         before = np.cumsum(parent_counts, axis=0) - parent_counts
-    counted = _use_histogram(nbins, r, d)
+    counted = hist is not None or _use_histogram(nbins, r, d)
     if counted:
-        hist = np.bincount(key.ravel(), minlength=nbins * k).reshape(-1, k)
+        hist = _histogram(key, nbins, k) if hist is None else hist
         seq = np.flatnonzero(np.add.reduce(hist.T, axis=0))  # nonempty bins, pair-major
         owner = np.repeat(np.arange(width.size), width)[seq]  # their (node, column) pairs
         at = np.flatnonzero(owner[:-1] == owner[1:])  # a boundary after nonempty bin at
@@ -366,6 +383,16 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
     and one call searches the nodes of all trees together.  Every search,
     of one node or many, is one :func:`_best_splits` call.  Every node
     weighs its rows against n, the rows of X.
+
+    In a fit that draws no features, a lone node that :func:`_use_histogram`
+    counts takes its :func:`_histogram` from its stack entry, or counts it.
+    When it splits and its larger child will be counted too, only the
+    smaller child is counted: the larger child carries the parent's
+    histogram less that count, and the smaller carries its count if it will
+    be counted.  A carried histogram holds 8 K first[d] bytes, and only a
+    node with 4 first[d] <= rows * d carries one, so at most 2 d K bytes per
+    row; the nodes waiting on a stack hold disjoint rows of their root, so
+    their histograms take at most about 2 n d K bytes (int32 would halve it).
     """
     n, d = X.shape
     spec, msl, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
@@ -374,31 +401,48 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
         raise ValueError("feature_subsample cannot exceed the feature count")
     draw = subsample is not None and subsample < d
     bins = _bin_columns(X, y, k)
+    nbins = int(bins.first[-1])
     # each tree's node records in the order they are made, the root first:
     # (parent id, is a right child, feature, threshold, counts)
     made: list[list[tuple]] = [[] for _ in roots]
     deferred: list[list[tuple]] = [[] for _ in roots]
     no_counts = np.zeros(k, dtype=np.int64)
-    # stack entries: (row ids into X, depth, parent node id, is a right child)
-    stacks = [[(rows, 0, -1, False)] for rows in roots]
+    # stack entries: (row ids into X, depth, parent node id, is a right child,
+    # the node's histogram when its parent carried one)
+    stacks = [[(rows, 0, -1, False, None)] for rows in roots]
 
-    def search(nodes):
+    def counted(size, depth):
+        """Whether a node of ``size`` rows at ``depth`` is, if it can split,
+        searched alone on every feature and counted by histogram."""
+        return (not draw and size >= _LEVEL_ROWS and (max_depth is None or depth < max_depth)
+                and _use_histogram(nbins, size, d))
+
+    def search(nodes, hist=None):
         """Search the (tree, stack entry, counts, candidate features) nodes in
-        one call; record each as a split or a leaf, and push a split's children."""
+        one call, with the histogram of a lone node when given; record each
+        as a split or a leaf, and push a split's children."""
         _, entries, counts, feats = zip(*nodes)
         found = _best_splits(spec, bins, np.concatenate([idx for idx, *_ in entries]),
                              np.array([idx.size for idx, *_ in entries]), np.array(counts),
-                             n, msl, np.array(feats) if draw else None)
-        for (t, (idx, depth, parent, is_right), c, _), score, f, threshold in zip(nodes, *found):
+                             n, msl, np.array(feats) if draw else None, hist)
+        for (t, (idx, depth, parent, is_right, _), c, _), score, f, threshold in zip(
+                nodes, *found):
             nid = len(made[t])
             if not score > spec.halting_slack:
                 made[t].append((parent, is_right, -1, 0.0, c))
                 continue
             made[t].append((parent, is_right, f, threshold, no_counts))
             mask = X[idx, f] <= threshold
+            kids, carry = (idx[mask], idx[~mask]), [None, None]  # left, right
+            big = int(kids[1].size > kids[0].size)
+            if hist is not None and counted(kids[big].size, depth + 1):
+                small = _histogram(bins.keys[kids[1 - big]], nbins, k)
+                carry[big] = hist - small
+                if counted(kids[1 - big].size, depth + 1):
+                    carry[1 - big] = small
             # right pushed first so the left child is grown (and numbered) first
-            stacks[t].append((idx[~mask], depth + 1, nid, True))
-            stacks[t].append((idx[mask], depth + 1, nid, False))
+            stacks[t].append((kids[1], depth + 1, nid, True, carry[1]))
+            stacks[t].append((kids[0], depth + 1, nid, False, carry[0]))
 
     live = range(len(roots))
     while live:
@@ -406,9 +450,9 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
         for t in live:
             stack = stacks[t]
             while stack:
-                node = idx, depth, parent, is_right = stack.pop()
+                node = idx, depth, parent, is_right, hist = stack.pop()
                 if not draw and idx.size < _LEVEL_ROWS:
-                    deferred[t].append(node)
+                    deferred[t].append(node[:4])
                     continue
                 counts = np.bincount(y[idx], minlength=k)
                 if not (np.count_nonzero(counts) > 1 and idx.size >= 2 * msl
@@ -419,7 +463,9 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
                 if idx.size < _LEVEL_ROWS:
                     small.append((t, node, counts, feats))
                     break
-                search([(t, node, counts, feats)])
+                if hist is None and counted(idx.size, depth):
+                    hist = _histogram(bins.keys[idx], nbins, k)
+                search([(t, node, counts, feats)], hist)
         if small:
             search(small)
         live = [t for t, *_ in small]

@@ -111,6 +111,20 @@ class TestPredict:
         capsys.readouterr()
         return path
 
+    @pytest.mark.parametrize("forest", [False, True], ids=["tree", "forest"])
+    def test_more_classes_than_the_model_exits_1(self, blob_csv, tmp_path, capsys, forest):
+        model = tmp_path / "model.json"
+        main(["train", "--data", str(blob_csv), "--format", "csv", "--criterion", "gini",
+              "--out", str(model), *(["--forest", "--trees", "2"] if forest else [])])
+        capsys.readouterr()
+        X, y = gaussian_blobs(30, [[-3, 0], [3, 0], [0, 3]], scale=0.6, seed=2)
+        data = tmp_path / "three.csv"
+        write_csv(data, X, y)
+        code = main(["predict", "--model", str(model), "--data", str(data), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the data has 3 classes, more than the model's 2\n"
+
     def test_no_labels_predicts_feature_only_csv(self, model, tmp_path, capsys):
         X, y = gaussian_blobs(80, [[-3, 0], [3, 0]], scale=0.6, seed=1)
         data = tmp_path / "features.csv"

@@ -163,6 +163,38 @@ def test_keys_widen_when_32_bits_cannot_hold_them():
     assert (bins.keys % k == y[:, None]).all()
 
 
+BIN_POOL = np.array([-1.7e308, -1.0, -0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, 2.5, 1e308])
+
+
+def _binned_column(rng, distinct: str, n: int) -> np.ndarray:
+    """A column of one, two, a few or many values, drawn with signed zeros
+    (which are one value), subnormals and huge magnitudes among them."""
+    if distinct == "many":
+        return rng.normal(0, 1, n) * rng.choice([1e-300, 1.0, 1e300])
+    size = {"one": 1, "two": 2, "few": rng.integers(3, BIN_POOL.size + 1)}[distinct]
+    return rng.choice(rng.choice(BIN_POOL, size, replace=False), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       columns=st.lists(st.sampled_from(["one", "two", "few", "many"]), min_size=1, max_size=6),
+       n=st.integers(1, 80), k=st.sampled_from([2, 3, 4, 2**29]))
+def test_bins_equal_a_per_column_reference(seed, columns, n, k):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([_binned_column(rng, distinct, n) for distinct in columns])
+    y = rng.integers(0, k, n)
+    # the reference: each column's distinct values, and each row's place among them
+    values = [np.unique(col) for col in X.T]
+    first = np.concatenate([[0], np.cumsum([v.size for v in values])])
+    codes = np.column_stack([np.searchsorted(v, col) for v, col in zip(values, X.T)])
+    bins = tree._bin_columns(X, y, k)
+    assert bins.keys.dtype == (np.int32 if first[-1] * k < 2**31 else np.intp)
+    assert bins.keys.flags.c_contiguous
+    assert ((codes + first[:-1]) * k + y[:, None] == bins.keys).all()
+    assert bins.values.view(np.int64).tolist() == np.concatenate(values).view(np.int64).tolist()
+    assert bins.first.tolist() == first.tolist()
+
+
 def _one_hot():
     X, y = separable_categorical(n=600, seed=4)
     flip = np.random.default_rng(5).random(y.size) < 0.3
