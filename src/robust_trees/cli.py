@@ -4,7 +4,9 @@ Subcommands: train, predict, noise, tune, bench, verify.  On success each
 command prints exactly one JSON status line to stdout (tables and progress
 go to stderr).  Exit codes: 0 success, 1 data or check failure, 2 bad flags.
 All commands are deterministic given their --seed.  ``bench`` evaluates grid
-cells one after another on one thread (see :func:`dataeng.evaluate`).
+cells on forked worker processes, one per usable CPU (processes, because
+threads contend for the interpreter lock), and its output is byte-identical
+to a run on one CPU (see :func:`dataeng.evaluate`).
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -458,50 +460,103 @@ class ResultRecord:
         ]
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """What every cell of one :func:`evaluate` call reads: the config, the
+    dataset's name, its train/test split and each noise setting's matrix."""
+    config: ExperimentConfig
+    name: str
+    train: Dataset
+    test: Dataset
+    transitions: list
+
+
+# the grid of a cell worker process, set once by the pool's initializer (never
+# in the process that calls evaluate)
+_worker_grid: _Grid | None = None
+
+
+def _start_worker(grid: _Grid) -> None:
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
     """Run the full (criterion x noise x replication) grid.
 
     Noise corrupts training labels only; the same noisy labels are shared by
     all criteria within one (noise, replication) cell so criteria compete on
     identical data.  Output order and content depend only on the config.
-    Cells run one after another on the calling thread: a split search is a
-    chain of short numpy calls, and on a thread pool they contended for the
-    interpreter lock, which made a 2-thread grid about 20% slower than 1.
+
+    Cells run on forked worker processes, one per usable CPU and at most one
+    per cell, and their records come back in task order, so the output is
+    byte-identical to a run on one CPU.  Processes, because a split search is
+    a chain of short numpy calls and threads contend for the interpreter
+    lock: a 2-thread grid was about 20% slower than 1.  ``fork``, because a
+    ``spawn`` or ``forkserver`` worker imports the package afresh, which
+    added about 0.3 s to a small grid on a 2-CPU machine; the workers inherit
+    the shared :class:`_Grid` from the pool's initializer, unpickled.  With
+    one usable CPU, one cell, no ``fork`` on the platform, or another Python
+    thread running (a forked child could inherit a lock it holds), the cells
+    run one after another in the calling process.  After a failed cell, the
+    cells not yet started are cancelled and every worker is joined before
+    the error is raised; a worker that dies raises ``ChildProcessError``.
     """
     ds = load_dataset(config.dataset_path, config.dataset_format, config.label_column,
                       config.header, config.label_map)
-    name = config.dataset_name or Path(config.dataset_path).stem
     train, test = train_test_split(ds, config.train_fraction, config.split_seed)
-    k = ds.n_classes
-
     transitions = [
-        nz.transition(k, features=train.features, labels=train.labels)
+        nz.transition(ds.n_classes, features=train.features, labels=train.labels)
         for nz in config.noise
     ]
-
+    grid = _Grid(config, config.dataset_name or Path(config.dataset_path).stem,
+                 train, test, transitions)
     tasks = [
         (ci, ni, rep)
         for ci in range(len(config.criteria))
         for ni in range(len(config.noise))
         for rep in range(config.replications)
     ]
+    workers = min(len(tasks), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_run_cell(grid, task) for task in tasks]
+    # imported here, as the pool's modules add about 2 MB to a process
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    def run(task) -> ResultRecord:
-        ci, ni, rep = task
-        try:
-            return _run_cell(task)
-        except Exception as exc:
-            error = ValueError if isinstance(exc, ValueError) else RuntimeError
-            raise error(
-                f"evaluation failed at criterion={config.criteria[ci].name} "
-                f"noise={config.noise[ni].label()} replication={rep}: {exc}"
-            ) from exc
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(grid,))
+    try:
+        cells = [pool.submit(_pooled_cell, task) for task in tasks]
+        return [cell.result() for cell in cells]
+    except BrokenExecutor as exc:
+        raise ChildProcessError(f"a grid cell's worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    def _run_cell(task) -> ResultRecord:
-        ci, ni, rep = task
-        setting = config.criteria[ci]
+
+def _pooled_cell(task: tuple) -> ResultRecord:
+    return _run_cell(_worker_grid, task)
+
+
+def _run_cell(grid: _Grid, task: tuple) -> ResultRecord:
+    """The record of one (criterion, noise, replication) cell, whose seeds
+    derive from the config's seed and the cell's indices alone.  Any error
+    is raised again as a ``ValueError`` (for a ``ValueError``) or a
+    ``RuntimeError`` that names the cell."""
+    config, train = grid.config, grid.train
+    ci, ni, rep = task
+    setting = config.criteria[ci]
+    try:
         corrupt_seed = np.random.SeedSequence((config.seed, ni, rep))
-        noisy = corrupt(train.labels, transitions[ni], corrupt_seed)
+        noisy = corrupt(train.labels, grid.transitions[ni], corrupt_seed)
         started = time.perf_counter()
         if setting.spec is None:
             noisy_train = Dataset(train.features, noisy, train.class_names)
@@ -513,25 +568,29 @@ def evaluate(config: ExperimentConfig) -> list[ResultRecord]:
             spec = CriterionSpec("ne", lam=best_lam)
         else:
             spec = setting.spec
-        fitted = _fit_model(config.model, spec, train.features, noisy, k,
+        fitted = _fit_model(config.model, spec, train.features, noisy, train.n_classes,
                             _seed_int(config.seed, ni, rep, ci, 1))
-        acc = accuracy_score(fitted, test.features, test.labels)
+        acc = accuracy_score(fitted, grid.test.features, grid.test.labels)
         elapsed = time.perf_counter() - started
         stats = _model_stats(fitted)
-        return ResultRecord(
-            dataset=name,
-            criterion=setting.name,
-            params=spec.params_label(),
-            noise=config.noise[ni].label(),
-            seed=_seed_int(config.seed, ni, rep),
-            accuracy=acc,
-            nodes=stats["node_count"],
-            leaves=stats["leaf_count"],
-            depth=stats["max_depth"],
-            seconds=elapsed,
-        )
-
-    return [run(t) for t in tasks]
+    except Exception as exc:
+        error = ValueError if isinstance(exc, ValueError) else RuntimeError
+        raise error(
+            f"evaluation failed at criterion={setting.name} "
+            f"noise={config.noise[ni].label()} replication={rep}: {exc}"
+        ) from exc
+    return ResultRecord(
+        dataset=grid.name,
+        criterion=setting.name,
+        params=spec.params_label(),
+        noise=config.noise[ni].label(),
+        seed=_seed_int(config.seed, ni, rep),
+        accuracy=acc,
+        nodes=stats["node_count"],
+        leaves=stats["leaf_count"],
+        depth=stats["max_depth"],
+        seconds=elapsed,
+    )
 
 
 def aggregate(records: list[ResultRecord]) -> list[dict]:

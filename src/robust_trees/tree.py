@@ -434,6 +434,9 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, k: int, params: TreeParams,
             made[t].append((parent, is_right, f, threshold, no_counts))
             mask = X[idx, f] <= threshold
             kids, carry = (idx[mask], idx[~mask]), [None, None]  # left, right
+            if not (kids[0].size and kids[1].size):  # else its rows would be pushed again, forever
+                raise RuntimeError(f"tree {t} node {nid}: the split on feature {f} at"
+                                   f" {threshold} leaves a child empty")
             big = int(kids[1].size > kids[0].size)
             if hist is not None and counted(kids[big].size, depth + 1):
                 small = _histogram(bins.keys[kids[1 - big]], nbins, k)
@@ -540,6 +543,10 @@ def _grow_levels(spec: CriterionSpec, bins: _Bins, X: np.ndarray, y: np.ndarray,
         rows = rows[np.argsort(slot, kind="stable")]
         sizes = np.bincount(slot, minlength=2 * s)
         kids = np.flatnonzero(sizes)
+        if kids.size < 2 * np.count_nonzero(split):  # else its rows would be split again, forever
+            bad = np.flatnonzero(split & ~sizes.reshape(s, 2).all(axis=1))[0]
+            raise RuntimeError(f"node {ids[bad]}: the split on feature {feature[bad]} at"
+                               f" {threshold[bad]} leaves a child empty")
         up = kids // 2
         sizes, depth, parent, is_right = sizes[kids], depth[up] + 1, ids[up], kids % 2
 

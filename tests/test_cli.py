@@ -1,12 +1,14 @@
 """Command-line interface: flags, exit codes, JSON status lines, file outputs."""
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from robust_trees import verify
+from robust_trees import dataeng, verify
 from robust_trees.cli import main
 from robust_trees.tree import load_tree, predict_batch
 from synth import gaussian_blobs, write_csv
@@ -472,6 +474,18 @@ class TestBench:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+    def test_dead_cell_worker_exits_1(self, blob_csv, tmp_path, capsys, monkeypatch):
+        # two usable CPUs, so that the cells run on forked workers, which
+        # inherit the patch and die in their first fit
+        monkeypatch.setattr(dataeng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataeng, "_fit_model", lambda *args: os._exit(3))
+        config = _bench_config(tmp_path, blob_csv)
+        code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: a grid cell's worker process died: ")
+        assert captured.err.count("\n") == 1 and multiprocessing.active_children() == []
 
 
 class TestVerify:

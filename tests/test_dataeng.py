@@ -1,5 +1,7 @@
 """Loaders, splits, lambda tuning, and the evaluation grid."""
 
+import multiprocessing
+import os
 import threading
 from pathlib import Path
 
@@ -264,7 +266,7 @@ class TestEvaluate:
         )
         assert evaluate(config)[0].accuracy == 1.0
 
-    def test_bit_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
+    def test_pooled_cells_match_one_cpu(self, tmp_path, monkeypatch):
         path = _write_blob_csv(tmp_path, n_per=80)
         config = ExperimentConfig(
             dataset_path=str(path), dataset_format="csv",
@@ -273,25 +275,43 @@ class TestEvaluate:
             noise=(NoiseSpec("uniform", eta=0.3),),
             replications=2, seed=9,
         )
-        monkeypatch.setenv("ROBUST_TREES_THREADS", "1")
-        first = evaluate(config)
-        monkeypatch.setenv("ROBUST_TREES_THREADS", "8")
-        fit_threads = []
+        pids = tmp_path / "pids"
 
         def recording_fit(*args, **kwargs):
-            fit_threads.append(threading.get_ident())
+            with open(pids, "a", encoding="utf-8") as fh:  # one short append per fit
+                fh.write(f"{os.getpid()}\n")
             return _fit_model(*args, **kwargs)
 
-        monkeypatch.setattr(dataeng, "_fit_model", recording_fit)
-        second = evaluate(config)
+        def fits_by_process(cpus):
+            pids.write_text("")
+            monkeypatch.setattr(dataeng, "_usable_cpus", lambda: cpus)
+            records = evaluate(config)
+            return records, pids.read_text().split()
+
+        monkeypatch.setattr(dataeng, "_fit_model", recording_fit)  # forked workers inherit it
+        alone, alone_pids = fits_by_process(1)
+        pooled, pooled_pids = fits_by_process(2)
         # 2 ane cells fit 5 lambda trees and a final one, 2 entropy cells one each
-        assert fit_threads == [threading.get_ident()] * 14
+        assert alone_pids == [str(os.getpid())] * 14
+        assert len(pooled_pids) == 14 and str(os.getpid()) not in pooled_pids
         strip = lambda recs: [
             (r.dataset, r.criterion, r.params, r.noise, r.seed, r.accuracy,
              r.nodes, r.leaves, r.depth)
             for r in recs
         ]
-        assert strip(first) == strip(second)
+        assert strip(pooled) == strip(alone)
+        assert multiprocessing.active_children() == []
+        # no fork beside another thread, which could hold a lock the child inherits
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            beside_a_thread, thread_pids = fits_by_process(2)
+        finally:
+            release.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+        assert thread_pids == alone_pids and strip(beside_a_thread) == strip(alone)
 
     def test_adaptive_ne_records_chosen_lambda(self, tmp_path):
         path = _write_blob_csv(tmp_path, n_per=60)

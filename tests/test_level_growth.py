@@ -120,3 +120,20 @@ def test_subsampled_fits_never_defer(monkeypatch):
     X, y = separable_categorical(n=300, seed=7)
     fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")), n_trees=2))
     fit(X, y, TreeParams(CriterionSpec("gini"), feature_subsample=3))
+
+
+@pytest.mark.parametrize("rows,kw", [(300, {}), (60, {}), (300, {"feature_subsample": 2})],
+                         ids=["depth-first", "level-by-level", "drawn-features"])
+def test_a_split_with_an_empty_child_fails_instead_of_growing_forever(rows, kw, monkeypatch):
+    # a search that puts every row on the left would push the same rows again
+    # one depth deeper; without max_depth the fit would never end
+    search = tree._best_splits
+
+    def past_every_value(*args, **kwargs):
+        scores, features, thresholds = search(*args, **kwargs)
+        return scores, features, np.full_like(thresholds, np.inf)
+
+    monkeypatch.setattr(tree, "_best_splits", past_every_value)
+    X, y = gaussian_blobs(rows // 3, [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.0]], seed=2)
+    with pytest.raises(RuntimeError, match="leaves a child empty"):
+        fit(X, y, TreeParams(CriterionSpec("entropy"), max_depth=30, **kw))
