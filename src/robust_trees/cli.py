@@ -32,15 +32,17 @@ def _load_dataset(args) -> Dataset:
     return dataeng.load_dataset(args.data, args.format, args.label_column, not args.no_header)
 
 
-def _criterion_from_args(parser: argparse.ArgumentParser, args) -> CriterionSpec:
+def _from_flags(parser: argparse.ArgumentParser, make, **kwargs):
+    """``make(**kwargs)``; a ``ValueError`` is a flag mistake: exit 2."""
     try:
-        return CriterionSpec(args.criterion, q=args.q, lam=args.lam)
+        return make(**kwargs)
     except ValueError as exc:
-        parser.error(str(exc))  # a flag mistake: exit 2
+        parser.error(str(exc))
 
 
-def _model_config_from_args(args) -> ModelConfig:
-    return ModelConfig(
+def _model_config_from_args(parser: argparse.ArgumentParser, args) -> ModelConfig:
+    return _from_flags(
+        parser, ModelConfig,
         kind="forest" if args.forest else "tree",
         max_depth=args.max_depth,
         min_samples_leaf=args.min_samples_leaf,
@@ -48,6 +50,13 @@ def _model_config_from_args(args) -> ModelConfig:
         bootstrap=not args.no_bootstrap,
         feature_subsample=args.feature_subsample,
     )
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every --seed flag: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"a seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_data_flags(sub):
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="NE robustness parameter in [0, 1]")
     p_train.add_argument("--q", type=float, default=None, help="GCE exponent, q >= 0")
     _add_model_flags(p_train)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.add_argument("--out", required=True, help="output model path")
 
     p_pred = sub.add_parser("predict", help="apply a trained model to a dataset")
@@ -100,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--rho-pos", type=float, default=noise_mod.NoiseSpec.rho_pos)
     p_noise.add_argument("--rho-neg", type=float, default=noise_mod.NoiseSpec.rho_neg)
     p_noise.add_argument("--ridge", type=float)
-    p_noise.add_argument("--seed", type=int, default=0)
+    p_noise.add_argument("--seed", type=_seed, default=0)
     p_noise.add_argument("--matrix-out", default=None, help="write the K x K matrix CSV")
     p_noise.add_argument("--out", default=None, help="write the corrupted dataset CSV")
 
@@ -110,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated lambda values")
     p_tune.add_argument("--validation-fraction", type=float, default=DEFAULT_VALIDATION_FRACTION)
     _add_model_flags(p_tune)
-    p_tune.add_argument("--seed", type=int, default=0)
+    p_tune.add_argument("--seed", type=_seed, default=0)
 
     p_bench = sub.add_parser("bench", help="run an experiment config, write result CSVs")
     p_bench.add_argument("--config", required=True)
@@ -122,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a brute-force oracle suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
 def cmd_train(parser, args) -> int:
-    spec = _criterion_from_args(parser, args)
+    spec = _from_flags(parser, CriterionSpec, kind=args.criterion, q=args.q, lam=args.lam)
+    model_cfg = _model_config_from_args(parser, args)
     ds = _load_dataset(args)
-    model_cfg = _model_config_from_args(args)
     fitted = dataeng._fit_model(model_cfg, spec, ds.features, ds.labels,
                                 ds.n_classes, args.seed)
     dataeng._save_model(fitted, args.out)
@@ -206,12 +215,12 @@ def cmd_noise(parser, args) -> int:
 
 
 def cmd_tune(parser, args) -> int:
-    ds = _load_dataset(args)
     try:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
     except ValueError:
         parser.error(f"--grid must be comma-separated numbers, got {args.grid!r}")
-    model_cfg = _model_config_from_args(args)
+    model_cfg = _model_config_from_args(parser, args)
+    ds = _load_dataset(args)
     best, scores = dataeng.tune_lambda(ds, grid, model_cfg, args.seed,
                                        args.validation_fraction)
     _status({

@@ -15,7 +15,8 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -250,7 +251,9 @@ def train_test_split(dataset: Dataset, train_fraction: float, seed) -> tuple[Dat
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Tree-versus-forest choice plus shared hyperparameters."""
+    """Tree-versus-forest choice plus shared hyperparameters, each checked
+    on construction by the rules of :class:`TreeParams` and
+    :class:`ForestParams` (a tree's ``n_trees`` and ``bootstrap`` too)."""
 
     kind: str = "tree"
     max_depth: int | None = None
@@ -262,6 +265,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("tree", "forest"):
             raise ValueError(f"model kind must be 'tree' or 'forest', got {self.kind!r}")
+        self.params(CriterionSpec("gini"), 0)
+
+    def params(self, spec: CriterionSpec, seed: int) -> TreeParams | ForestParams:
+        """The params of a fit by ``spec`` seeded by ``seed``: a tree's, or a
+        forest's, whose trees draw only from the forest's seed."""
+        forest = ForestParams(TreeParams(spec, self.max_depth, self.min_samples_leaf,
+                                         self.feature_subsample),
+                              self.n_trees, self.bootstrap, seed)
+        return forest if self.kind == "forest" else replace(forest.tree_params, rng_seed=seed)
 
 
 def _seed_int(*entropy) -> int:
@@ -269,18 +281,9 @@ def _seed_int(*entropy) -> int:
 
 
 def _fit_model(model: ModelConfig, spec: CriterionSpec, X, y, n_classes: int, seed: int):
-    tp = TreeParams(
-        criterion=spec,
-        max_depth=model.max_depth,
-        min_samples_leaf=model.min_samples_leaf,
-        feature_subsample=model.feature_subsample,
-        rng_seed=seed,
-    )
-    if model.kind == "tree":
-        return fit(X, y, tp, n_classes=n_classes)
-    fp = ForestParams(tree_params=tp, n_trees=model.n_trees,
-                      bootstrap=model.bootstrap, rng_seed=seed)
-    return fit_forest(X, y, fp, n_classes=n_classes)
+    params = model.params(spec, seed)
+    fitter = fit_forest if isinstance(params, ForestParams) else fit
+    return fitter(X, y, params, n_classes=n_classes)
 
 
 def _model_predictions(fitted, X) -> tuple[np.ndarray, np.ndarray]:
@@ -305,6 +308,19 @@ def _check_validation_fraction(value: float) -> None:
         raise ValueError(f"validation_fraction must lie in (0, 1), got {value}")
 
 
+def _lambda_grid(grid) -> tuple[float, ...]:
+    """A tuning grid as floats: a non-empty sequence (a numpy array, not a
+    string) of lambdas, each checked as an NE criterion's, else ``ValueError``."""
+    if isinstance(grid, np.ndarray):
+        grid = grid.tolist()
+    if isinstance(grid, str) or not isinstance(grid, Sequence) or not grid:
+        raise ValueError(f"tuning grid must be a non-empty list of lambdas, got {grid!r}")
+    try:
+        return tuple(float(CriterionSpec("ne", lam=lam).lam) for lam in grid)
+    except ValueError as exc:
+        raise ValueError(f"tuning grid: {exc}") from None
+
+
 def tune_lambda(
     train: Dataset,
     grid,
@@ -317,10 +333,9 @@ def tune_lambda(
     Fits one model per grid value on 1 - validation_fraction of ``train``
     and scores plain accuracy on the rest (labels as given, noisy or not).
     Ties go to the larger lambda.  Returns (best lambda, per-lambda scores).
+    The whole grid is checked (see :func:`_lambda_grid`) before the first fit.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("lambda grid must be non-empty")
+    grid = _lambda_grid(grid)
     _check_validation_fraction(validation_fraction)
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     split_seed, model_stream = base.spawn(2)
@@ -383,18 +398,13 @@ class ExperimentConfig:
             _check_type(name, getattr(self, name), kind)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        for name in ("split_seed", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         _check_validation_fraction(self.validation_fraction)
         if not self.criteria or not self.noise:
             raise ValueError("need at least one criterion and one noise setting")
-        grid = self.tuning_grid
-        if not isinstance(grid, (list, tuple)) or not grid:
-            raise ValueError(f"tuning grid must be a non-empty list of lambdas, got {grid!r}")
-        try:
-            for lam in grid:
-                CriterionSpec("ne", lam=lam)
-        except ValueError as exc:
-            raise ValueError(f"tuning grid: {exc}") from None
-        object.__setattr__(self, "tuning_grid", tuple(float(lam) for lam in grid))
+        object.__setattr__(self, "tuning_grid", _lambda_grid(self.tuning_grid))
 
     @staticmethod
     def from_dict(d: dict, base_dir=None) -> "ExperimentConfig":

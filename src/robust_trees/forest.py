@@ -29,6 +29,8 @@ from .tree import (Tree, TreeParams, _class_count, _fit_inputs, _fit_trees, pred
 
 @dataclass(frozen=True)
 class ForestParams:
+    """A forest's trees draw only from ``rng_seed``, never ``tree_params.rng_seed``."""
+
     tree_params: TreeParams
     n_trees: int = 100
     bootstrap: bool = True
@@ -40,6 +42,8 @@ class ForestParams:
         _check_type("bootstrap", self.bootstrap, bool)
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

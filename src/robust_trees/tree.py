@@ -91,6 +91,8 @@ class TreeParams:
             raise ValueError("max_depth must be positive when set")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.feature_subsample is not None and self.feature_subsample < 1:
             raise ValueError("feature_subsample must be >= 1 when set")
 
@@ -353,19 +355,16 @@ def fit(
     labels,
     params: TreeParams,
     n_classes: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Tree:
     """Grow a tree on (features, labels).
 
     A node S weighs W_S = |S| / n in the impurities, n being the number of
     rows given.  ``n_classes`` widens the label space beyond max(labels) + 1
-    (needed for resampled data); ``rng`` overrides the generator seeded by
-    ``params.rng_seed`` and is consumed only when per-split feature
-    subsampling is active.
+    (needed for resampled data).  The generator seeded by ``params.rng_seed``
+    is consumed only when per-split feature subsampling is active.
     """
     X, y, k = _fit_inputs(features, labels, n_classes)
-    if rng is None:
-        rng = np.random.default_rng(params.rng_seed)
+    rng = np.random.default_rng(params.rng_seed)
     return _fit_trees(X, y, k, params, [np.arange(X.shape[0])], [rng])[0]
 
 

@@ -3,13 +3,17 @@
 import json
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robust_trees import dataeng, verify
-from robust_trees.cli import main
+from robust_trees.cli import entrypoint, main
 from robust_trees.tree import load_tree, predict_batch
 from synth import gaussian_blobs, write_csv
 
@@ -70,6 +74,19 @@ class TestTrain:
             main(["train", "--data", str(blob_csv), "--format", "csv",
                   "--criterion", "gce", "--out", str(tmp_path / "m.json")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-depth", "0"], "max_depth must be positive when set"),
+        (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1"),
+        (["--trees", "0"], "n_trees must be >= 1"),
+    ], ids=["max-depth", "min-samples-leaf", "trees"])
+    def test_bad_model_flag_exits_2_before_reading_data(self, tmp_path, capsys, flags,
+                                                         message):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                  "--criterion", "gini", "--out", str(tmp_path / "m.json"), *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
@@ -337,6 +354,21 @@ class TestPredict:
         assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--criterion", "gini", "--out", "m.json"],
+    ["noise", "--kind", "uniform"],
+    ["tune"],
+    ["verify", "--suite", "noise"],
+], ids=["train", "noise", "tune", "verify"])
+def test_negative_seed_flag_exits_2(blob_csv, capsys, command):
+    data = [] if command[0] == "verify" else ["--data", str(blob_csv), "--format", "csv"]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *data, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: a seed must be an integer >= 0, got '-1'\n")
+
+
 class TestNoiseCommand:
     def test_matrix_and_corrupted_output(self, blob_csv, tmp_path, capsys):
         matrix = tmp_path / "matrix.csv"
@@ -363,6 +395,14 @@ class TestTune:
         assert code == 0
         assert status["best_lambda"] in (0.0, 0.5, 1.0)
         assert set(status["scores"]) == {"0", "0.5", "1"}
+
+    def test_bad_grid_value_exits_1_before_any_fit(self, blob_csv, capsys, monkeypatch):
+        fits = []
+        monkeypatch.setattr(dataeng, "_fit_model", lambda *args: fits.append(args))
+        code = main(["tune", "--data", str(blob_csv), "--format", "csv", "--grid", "0.5,2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and fits == []
+        assert captured.err == "error: tuning grid: ne lambda must be in [0, 1], got 2.0\n"
 
     def test_bad_validation_fraction_exits_1(self, blob_csv, capsys):
         code = main(["tune", "--data", str(blob_csv), "--format", "csv",
@@ -403,12 +443,10 @@ class TestBench:
         assert summary[0] == "dataset,criterion,noise,replications,mean_accuracy,two_sd"
         assert len(summary) == 5  # header + 4 cells
 
-    def test_byte_identical_across_runs_and_threads(self, blob_csv, tmp_path,
-                                                    capsys, monkeypatch):
+    def test_byte_identical_across_runs(self, blob_csv, tmp_path, capsys):
         config = _bench_config(tmp_path, blob_csv)
         outs = []
-        for name, threads in (("a.csv", "1"), ("b.csv", "8"), ("c.csv", "1")):
-            monkeypatch.setenv("ROBUST_TREES_THREADS", threads)
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
             assert main(["bench", "--config", str(config), "--out", str(out),
                          "--summary", str(tmp_path / f"s_{name}")]) == 0
@@ -416,20 +454,37 @@ class TestBench:
         capsys.readouterr()
         assert outs[0] == outs[1] == outs[2]
 
+    def test_timings_fill_only_the_seconds_column(self, blob_csv, tmp_path, capsys):
+        config = _bench_config(tmp_path, blob_csv)
+        tables = []
+        for name, flags in (("plain.csv", []), ("timed.csv", ["--timings"])):
+            out = tmp_path / name
+            assert main(["bench", "--config", str(config), "--out", str(out), *flags]) == 0
+            tables.append([row.split(",") for row in out.read_text().splitlines()[1:]])
+        capsys.readouterr()
+        plain, timed = tables
+        assert [row[:-1] for row in plain] == [row[:-1] for row in timed]
+        assert all(row[-1] == "0.000" for row in plain)
+        assert all(re.fullmatch(r"\d+\.\d{3}", row[-1]) for row in timed)
+
     @pytest.mark.parametrize("overrides,message", [
         ({"tuning": {"grid": []}}, "error: tuning grid must be a non-empty list"),
         ({"tuning": {"grid": [2.0]}}, "error: tuning grid: ne lambda must be in [0, 1]"),
         ({"tuning": {"grid": ["x"]}}, "error: tuning grid: criterion lambda must be a real"),
         ({"tuning": {"grid": "0.5"}}, "error: tuning grid must be a non-empty list"),
-        ({"model": {"min_samples_leaf": 0}},
+        ({"model": {"feature_subsample": 99}},
          "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
-         " min_samples_leaf must be >= 1"),
-        ({"model": {"max_depth": "3"}},
-         "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
-         " max_depth must be an integer, got str"),
+         " feature_subsample cannot exceed the feature count"),
+        ({"model": {"max_depth": "3"}}, "error: max_depth must be an integer, got str"),
         ({"model": {"kind": "forest", "n_trees": 2, "bootstrap": "no"}},
-         "error: evaluation failed at criterion=ane noise=uniform(0) replication=0:"
-         " bootstrap must be true or false, got str"),
+         "error: bootstrap must be true or false, got str"),
+        ({"model": {"kind": "tree", "bootstrap": "no"}},
+         "error: bootstrap must be true or false, got str"),
+        ({"model": {"kind": "tree", "n_trees": "x"}}, "error: n_trees must be an integer, got str"),
+        ({"dataset": {"path": "nope.csv", "format": "csv"}, "model": {"min_samples_leaf": 0}},
+         "error: min_samples_leaf must be >= 1"),
+        ({"seed": -1}, "error: seed must be >= 0, got -1"),
+        ({"split": {"seed": -1}}, "error: split_seed must be >= 0, got -1"),
         ({"model": {"max_dpeth": 2}}, "error: model has unknown key 'max_dpeth'"),
         ({"model": "tree"}, "error: model must be a JSON object, got str"),
         ({"noise": [{"kind": "uniform", "etaa": 0.1}]},
@@ -461,7 +516,9 @@ class TestBench:
         ({"tuning": {"validation_fraction": 1.5}},
          "error: validation_fraction must lie in (0, 1), got 1.5"),
     ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
-            "cell-value-error", "string-max-depth", "string-bootstrap", "unknown-model-key",
+            "cell-value-error", "string-max-depth", "string-bootstrap", "tree-string-bootstrap",
+            "tree-string-n-trees", "model-before-missing-data", "negative-seed",
+            "negative-split-seed", "unknown-model-key",
             "model-not-object", "unknown-noise-key", "string-eta", "no-dataset",
             "criterion-without-kind", "criteria-object", "string-replications",
             "string-train-fraction", "unknown-criterion-key", "ane-with-lambda",
@@ -486,6 +543,28 @@ class TestBench:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: a grid cell's worker process died: ")
         assert captured.err.count("\n") == 1 and multiprocessing.active_children() == []
+
+
+class TestEntryPoints:
+    def test_module_runs_as_a_script(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "robust_trees", "verify", "--suite", "noise"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["command"] == "verify"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--suite", "noise"], 0),
+        (["verify", "--suite", "nope"], 2),
+    ], ids=["success", "bad-flag"])
+    def test_entrypoint_exits_with_the_code_of_main(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["robust-trees", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        capsys.readouterr()
+        assert exc.value.code == code
 
 
 class TestVerify:

@@ -27,7 +27,9 @@ from robust_trees.dataeng import (
     write_records_csv,
     _fit_model,
 )
+from robust_trees.forest import ForestParams, forest_from_dict, forest_to_dict
 from robust_trees.noise import NoiseSpec
+from robust_trees.tree import TreeParams
 from synth import gaussian_blobs, separable_categorical, write_csv, write_libsvm
 
 
@@ -204,6 +206,48 @@ class TestTuneLambda:
         with pytest.raises(ValueError):
             tune_lambda(ds, [], ModelConfig("tree"), 0)
 
+    def test_numpy_grid_equals_list_grid(self):
+        X, y = gaussian_blobs(40, [[-1, 0], [1, 0]], seed=3)
+        ds = Dataset(X, y, ("n", "p"))
+        grid = [0.0, 0.5, 1.0]
+        assert (tune_lambda(ds, np.array(grid), ModelConfig("tree"), 4)
+                == tune_lambda(ds, grid, ModelConfig("tree"), 4))
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.5", "tuning grid must be a non-empty list of lambdas, got '0.5'"),
+        ([0.5, 2], "tuning grid: ne lambda must be in [0, 1], got 2"),
+    ], ids=["string", "out-of-range"])
+    def test_bad_grid_rejected_before_any_fit(self, monkeypatch, grid, message):
+        monkeypatch.setattr(dataeng, "_fit_model", lambda *args: pytest.fail("fitted"))
+        ds = Dataset(np.zeros((10, 1)), np.array([0, 1] * 5), ("a", "b"))
+        with pytest.raises(ValueError) as exc:
+            tune_lambda(ds, grid, ModelConfig("tree"), 0)
+        assert str(exc.value) == message
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"bootstrap": "no"}, "bootstrap must be true or false, got str"),
+        ({"n_trees": "x"}, "n_trees must be an integer, got str"),
+        ({"n_trees": 0}, "n_trees must be >= 1"),
+        ({"max_depth": "3"}, "max_depth must be an integer, got str"),
+        ({"min_samples_leaf": 0}, "min_samples_leaf must be >= 1"),
+        ({"kind": "forest", "feature_subsample": 0}, "feature_subsample must be >= 1 when set"),
+        ({"kind": "bush"}, "model kind must be 'tree' or 'forest', got 'bush'"),
+    ], ids=["bootstrap", "n-trees-type", "n-trees", "max-depth", "min-samples-leaf",
+            "feature-subsample", "kind"])
+    def test_every_field_checked_on_construction(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            ModelConfig(**fields)
+        assert str(exc.value) == message
+
+    def test_params_of_a_tree_and_of_a_forest(self):
+        spec = CriterionSpec("gini")
+        tree = ModelConfig("tree", max_depth=3, n_trees=5).params(spec, 7)
+        assert tree == TreeParams(spec, max_depth=3, rng_seed=7)
+        forest = ModelConfig("forest", max_depth=3, n_trees=5).params(spec, 7)
+        assert forest == ForestParams(TreeParams(spec, max_depth=3), n_trees=5, rng_seed=7)
+
 
 class TestFitModel:
     @pytest.mark.parametrize("model", [ModelConfig("tree"), ModelConfig("forest", n_trees=3)])
@@ -212,6 +256,11 @@ class TestFitModel:
         X, y = gaussian_blobs(20, [[-3, 0], [3, 0]], seed=0)
         fitted = _fit_model(model, CriterionSpec("gini"), X, y, 3, 0)
         assert fitted.n_classes == 3
+
+    def test_forest_params_round_trip(self):
+        X, y = gaussian_blobs(20, [[-3, 0], [3, 0]], seed=0)
+        fitted = _fit_model(ModelConfig("forest", n_trees=2), CriterionSpec("gini"), X, y, 2, 7)
+        assert forest_from_dict(forest_to_dict(fitted)).params == fitted.params
 
 
 def _write_blob_csv(tmp_path, n_per=150, seed=0):

@@ -65,16 +65,6 @@ class TestFitForest:
         classes, _ = predict_forest_batch(forest, X)
         assert (classes == y).all()
 
-    def test_thread_count_does_not_change_the_forest(self, monkeypatch):
-        X, y = _blobs(seed=13)
-        fp = ForestParams(tree_params=TreeParams(CriterionSpec("gini")), n_trees=8,
-                          rng_seed=5)
-        monkeypatch.setenv("ROBUST_TREES_THREADS", "1")
-        f1 = fit_forest(X, y, fp)
-        monkeypatch.setenv("ROBUST_TREES_THREADS", "8")
-        f8 = fit_forest(X, y, fp)
-        assert json.dumps(forest_to_dict(f1)) == json.dumps(forest_to_dict(f8))
-
     def test_seed_changes_the_forest(self):
         X, y = _blobs(seed=17)
         a = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("gini")), n_trees=3,
@@ -82,6 +72,10 @@ class TestFitForest:
         b = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("gini")), n_trees=3,
                                           rng_seed=1))
         assert json.dumps(forest_to_dict(a)) != json.dumps(forest_to_dict(b))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+            ForestParams(TreeParams(CriterionSpec("gini")), rng_seed=-1)
 
     def test_default_subsample_is_sqrt_d(self):
         X, y = _blobs(seed=19, d=9)

@@ -92,6 +92,10 @@ class TestFit:
         with pytest.raises(ValueError, match=err):
             fit(X, y, TreeParams(CriterionSpec("gini")), **kwargs)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+            TreeParams(CriterionSpec("gini"), rng_seed=-1)
+
     def test_fewer_than_two_classes_rejected(self):
         with pytest.raises(ValueError, match=r"^n_classes must be >= 2, got 1$"):
             fit(np.zeros((3, 1)), np.zeros(3, dtype=int), TreeParams(CriterionSpec("gini")),
