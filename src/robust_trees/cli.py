@@ -219,6 +219,8 @@ def cmd_tune(parser, args) -> int:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
     except ValueError:
         parser.error(f"--grid must be comma-separated numbers, got {args.grid!r}")
+    grid = _from_flags(parser, dataeng._lambda_grid, grid=grid)
+    _from_flags(parser, dataeng._check_validation_fraction, value=args.validation_fraction)
     model_cfg = _model_config_from_args(parser, args)
     ds = _load_dataset(args)
     best, scores = dataeng.tune_lambda(ds, grid, model_cfg, args.seed,

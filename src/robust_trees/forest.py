@@ -23,7 +23,7 @@ import numpy as np
 
 from .criteria import CriterionSpec
 from .errors import _check_type, _json, _read
-from .tree import (Tree, TreeParams, _class_count, _fit_inputs, _fit_trees, predict,
+from .tree import (Tree, TreeParams, _class_count, _fit_inputs, _fit_trees, _leaf_of, _row,
                    predict_batch, tree_from_dict, tree_stats, tree_to_dict)
 
 
@@ -71,19 +71,24 @@ def fit_forest(features, labels, params: ForestParams, n_classes: int | None = N
 
 
 def predict_forest(forest: Forest, x) -> tuple[int, np.ndarray]:
-    """Average the trees' leaf distributions for one feature vector.
+    """Average the trees' leaf distributions for one 1-D feature vector.
 
-    The sum runs in the order of :func:`predict_forest_batch`, so the answer
-    equals that function's row for ``x`` bit for bit.
+    Each tree routes the row by the scalar walk of :func:`tree.predict`, and
+    the K sums run on Python floats in tree order, then divide by the tree
+    count: the IEEE operations of :func:`predict_forest_batch` in its order,
+    so the answer equals that function's row for ``x`` bit for bit, the
+    first maximum (lowest index) winning a tie as ``np.argmax`` does.
     """
-    if not forest.trees:
+    trees = forest.trees
+    if not trees:
         raise ValueError("cannot predict with an empty forest")
-    x = np.asarray(x, dtype=np.float64)
-    acc = np.zeros(forest.n_classes, dtype=np.float64)
-    for tree in forest.trees:
-        acc += predict(tree, x)[1]
-    acc /= len(forest.trees)
-    return int(np.argmax(acc)), acc
+    row = _row(x, max(tree.min_columns for tree in trees))
+    acc = [0.0] * forest.n_classes
+    for tree in trees:
+        for c, p in enumerate(tree.distribution[_leaf_of(tree._walk, row)].tolist()):
+            acc[c] += p
+    acc = [a / len(trees) for a in acc]
+    return acc.index(max(acc)), np.array(acc)
 
 
 def predict_forest_batch(forest: Forest, features) -> tuple[np.ndarray, np.ndarray]:

@@ -396,20 +396,23 @@ class TestTune:
         assert status["best_lambda"] in (0.0, 0.5, 1.0)
         assert set(status["scores"]) == {"0", "0.5", "1"}
 
-    def test_bad_grid_value_exits_1_before_any_fit(self, blob_csv, capsys, monkeypatch):
+    def test_bad_grid_value_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
         fits = []
         monkeypatch.setattr(dataeng, "_fit_model", lambda *args: fits.append(args))
-        code = main(["tune", "--data", str(blob_csv), "--format", "csv", "--grid", "0.5,2"])
+        with pytest.raises(SystemExit) as exc:  # the data file does not exist: it is never read
+            main(["tune", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                  "--grid", "0.5,2"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == "" and fits == []
-        assert captured.err == "error: tuning grid: ne lambda must be in [0, 1], got 2.0\n"
+        assert exc.value.code == 2 and captured.out == "" and fits == []
+        assert captured.err.endswith("error: tuning grid: ne lambda must be in [0, 1], got 2.0\n")
 
-    def test_bad_validation_fraction_exits_1(self, blob_csv, capsys):
-        code = main(["tune", "--data", str(blob_csv), "--format", "csv",
-                     "--validation-fraction", "1.5"])
+    def test_bad_validation_fraction_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                  "--validation-fraction", "1.5"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == "error: validation_fraction must lie in (0, 1), got 1.5\n"
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: validation_fraction must lie in (0, 1), got 1.5\n")
 
 
 def _bench_config(tmp_path, data_path, reps=2, **overrides):

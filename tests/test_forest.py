@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from robust_trees.forest import (
 )
 from robust_trees.tree import TreeParams, fit, predict_batch, tree_from_dict, tree_to_dict
 from test_split_search import SPECS
+from test_tree import single_rows, threshold_rows
 
 
 def _blobs(seed=7, n=300, d=8):
@@ -184,16 +186,39 @@ class TestPredictForest:
         with pytest.raises(ValueError, match="needs an n x d input"):
             predict_forest(forest, X[0, :1])
 
-    def test_single_row_equals_batch_row_exactly(self):
+    @pytest.mark.parametrize("x", [np.zeros((1, 8)), np.float64(1.0)], ids=["2-d", "0-d"])
+    def test_row_that_is_not_1d_raises(self, x):
         X, y = _blobs(seed=31)
         forest = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("entropy")),
                                                n_trees=3, rng_seed=8))
-        Q = np.random.default_rng(32).normal(0, 1, (40, X.shape[1]))
-        classes, dists = predict_forest_batch(forest, Q)
-        for i in range(Q.shape[0]):
-            cls, dist = predict_forest(forest, Q[i])
-            assert cls == classes[i]
-            assert np.array_equal(dist, dists[i])
+        with pytest.raises(ValueError, match=re.escape(f"1-D feature vector; got shape {x.shape}")):
+            predict_forest(forest, x)
+
+    def test_single_row_equals_batch_row_exactly(self):
+        # 9 trees with mixed leaves: a pairwise or compensated sum of the leaf
+        # rows would round otherwise than the batch's tree-by-tree sum
+        for n_trees, k, leaf, seed in ((3, 2, 1, 31), (9, 2, 7, 33), (9, 3, 7, 34)):
+            X, y = _blobs(seed=seed)
+            if k == 3:
+                y = np.digitize(X[:, 0] + y, [0.0, 1.0])
+            tp = TreeParams(CriterionSpec("entropy"), min_samples_leaf=leaf)
+            forest = fit_forest(X, y, ForestParams(tp, n_trees=n_trees, rng_seed=8))
+            assert forest.n_classes == k
+            Q = np.vstack([np.random.default_rng(32).normal(0, 1, (40, X.shape[1])),
+                           *(threshold_rows(t, X[0]) for t in forest.trees)])
+            for batch, rows in single_rows(Q):
+                classes, dists = predict_forest_batch(forest, batch)
+                for i, x in enumerate(rows):
+                    cls, dist = predict_forest(forest, x)
+                    assert cls == classes[i]
+                    assert dist.tobytes() == dists[i].tobytes()
+        # classes 1 and 2 tie on average: the lowest index wins, as np.argmax does
+        forest = Forest(params=ForestParams(TreeParams(CriterionSpec("gini")), n_trees=2),
+                        n_classes=3, trees=[_leaf_tree([0, 3, 1]), _leaf_tree([0, 1, 3])])
+        classes, dists = predict_forest_batch(forest, [[0.0]])
+        cls, dist = predict_forest(forest, [0.0])
+        assert cls == classes[0] == 1
+        assert dist.tobytes() == dists[0].tobytes() == np.array([0.0, 0.5, 0.5]).tobytes()
 
     def test_averaged_distribution_on_simplex(self):
         X, y = _blobs(seed=23)

@@ -1,6 +1,7 @@
 """Tree learner: growth, halting, prediction, serialization, invariants."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,41 @@ from robust_trees.tree import (
 
 SEPARABLE_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 SEPARABLE_Y = np.array([0, 0, 1, 1])
+
+
+def threshold_rows(tree: Tree, base: np.ndarray) -> np.ndarray:
+    """One copy of ``base`` per split of ``tree`` that reaches the split with
+    its threshold as the value there.  Each split on the way holds its
+    threshold where the path turns left and the next float above it where it
+    turns right, set from the root down: a deeper split on the same feature
+    has its threshold on its ancestors' side, so the value it leaves keeps
+    the path."""
+    splits = np.flatnonzero(tree.feature >= 0)
+    parent = np.full(tree.feature.size, -1)
+    parent[tree.left[splits]] = parent[tree.right[splits]] = splits
+    rows = np.tile(base, (splits.size, 1))
+    for row, s in zip(rows, splits):
+        path, node = [], s
+        while node > 0:
+            path.append(node)
+            node = parent[node]
+        for child in reversed(path):
+            up = parent[child]
+            thr = tree.threshold[up]
+            row[tree.feature[up]] = thr if tree.left[up] == child else np.nextafter(thr, np.inf)
+        row[tree.feature[s]] = tree.threshold[s]
+    return rows
+
+
+def single_rows(Q: np.ndarray) -> list[tuple]:
+    """Q's rows in each form a single-row predict takes, each with the matrix
+    whose batch prediction it must equal: contiguous rows, strided views,
+    the rows of a Fortran-ordered copy, Python lists, and int rows."""
+    wide = np.zeros((Q.shape[0], 2 * Q.shape[1]))
+    wide[:, ::2] = Q
+    ints = np.rint(2 * Q).astype(np.int64)
+    return [(Q, list(Q)), (Q, list(wide[:, ::2])), (Q, list(np.asfortranarray(Q))),
+            (Q, Q.tolist()), (ints, list(ints))]
 
 
 class TestFit:
@@ -155,17 +191,30 @@ class TestPredict:
             predict_batch(tree, [[1.0]])
         assert str(one.value).split(";")[0] == str(batch.value).split(";")[0]
 
+    @pytest.mark.parametrize("x", [np.zeros((1, 2)), np.float64(1.0), [[1.0, 2.0]]],
+                             ids=["2-d", "0-d", "nested-list"])
+    def test_row_that_is_not_1d_raises(self, x):
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+        tree = fit(X, SEPARABLE_Y, TreeParams(CriterionSpec("gini")))
+        message = re.escape(f"1-D feature vector; got shape {np.shape(x)}")
+        with pytest.raises(ValueError, match=message):
+            predict(tree, x)
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (100, 4))
-        y = (X[:, 1] > 0.2).astype(np.int64)
-        tree = fit(X, y, TreeParams(CriterionSpec("entropy")))
-        Q = rng.normal(0, 1, (40, 4))
-        classes, dists = predict_batch(tree, Q)
-        for i in range(40):
-            c, d = predict(tree, Q[i])
-            assert c == classes[i]
-            assert np.array_equal(d, dists[i])
+        for k in (2, 3):
+            y = np.digitize(X[:, 1], [0.2, 0.9][:k - 1])
+            y = np.where(rng.random(100) < 0.2, rng.integers(0, k, 100), y)  # a deeper tree
+            tree = fit(X, y, TreeParams(CriterionSpec("entropy")))
+            assert tree.n_classes == k
+            Q = np.vstack([rng.normal(0, 1, (40, 4)), threshold_rows(tree, X[0])])
+            for batch, rows in single_rows(Q):
+                classes, dists = predict_batch(tree, batch)
+                for i, x in enumerate(rows):
+                    c, d = predict(tree, x)
+                    assert c == classes[i]
+                    assert d.tobytes() == dists[i].tobytes()
 
 
 class TestStats:
