@@ -31,6 +31,17 @@ candidates instead of m reductions over K entries.  The class sums keep the
 order numpy uses on a contiguous class-last array (one class after another
 below 8 classes, pairwise from 8 on), so scores are bit for bit the same on
 either layout and no fitted tree depends on it.
+
+:func:`split_scores` computes each parent's terms once per call and scores
+the candidates in blocks of ``12288 // K`` (4,096 at K = 3) into one output
+array, so that each float64 temporary of a block, K x block, stays within
+96 KiB.  That is below glibc's default mmap threshold of 128 KiB: the
+temporaries are reused from the heap, where whole-call temporaries of a
+large node (a 6,000-row root of 8 continuous columns has 48,000 candidates)
+were mapped and faulted in anew at every call.  Every operation on a
+candidate reads only its own count row and its parent's terms, so a score
+has the same bits whichever block it falls in, and a call of one block
+runs as an unblocked call would.
 """
 
 from __future__ import annotations
@@ -51,6 +62,10 @@ _CONSERVATIVE = ("misclassification", "mae")
 
 # a criterion's JSON keys -> CriterionSpec fields
 _CRITERION_KEYS = {"kind": "kind", "q": "q", "lambda": "lam"}
+
+# bytes of one float64 temporary (K x block candidates) of a scoring block,
+# under glibc's default 128 KiB mmap threshold (see the module docstring)
+_BLOCK_BYTES = 96 * 1024
 
 
 @dataclass(frozen=True)
@@ -255,25 +270,55 @@ def split_scores(spec: CriterionSpec, parent, left, dataset_size: int, node=None
     As in :func:`counts_impurity`, ``left`` passed as the ``.T`` view of
     class-major (K x m) memory makes the sums and maxima over the classes
     contiguous vector operations, and the order of the class sums keeps the
-    scores bit for bit those of a class-last array.
+    scores bit for bit those of a class-last array.  A stack of more than
+    :func:`_block_size` candidates under one parent or gathered parents is
+    scored a block at a time into one output array.
     """
+    parent, left = np.asarray(parent), np.asarray(left)
+    # the per-parent terms: max P, or n and the weighted parent impurity
+    if spec.is_conservative:
+        terms = (_class_max(parent),)
+    elif spec.kind == "twoing":
+        terms = (_class_sum(parent),)
+    else:
+        n = _class_sum(parent)
+        terms = (n, n / dataset_size * counts_impurity(spec, parent))
+    block = _block_size(left.shape[-1])
+    if left.ndim != 2 or left.shape[0] <= block or (node is None and parent.ndim > 1):
+        return _scores(spec, parent, left, dataset_size, node, terms)
+    out = np.empty(left.shape[0])
+    for start in range(0, left.shape[0], block):
+        part = slice(start, start + block)
+        out[part] = _scores(spec, parent, left[part], dataset_size,
+                            None if node is None else node[part], terms)
+    return out
+
+
+def _block_size(k: int) -> int:
+    """Candidates per scoring block: K of them per candidate fill at most
+    ``_BLOCK_BYTES`` as float64."""
+    return max(1, _BLOCK_BYTES // (8 * k))
+
+
+def _scores(spec: CriterionSpec, parent, left, dataset_size: int, node, terms) -> np.ndarray:
+    """:func:`split_scores` of the candidates ``left``, given the per-parent
+    ``terms`` that it computed."""
     if node is None:
         at = lambda per_node: per_node  # one parent, broadcast
         right = parent - left  # keeps the layout of ``left``
     else:
         at = lambda per_node: per_node[node]
         # gathered class-major, the layout of ``left``
-        right = np.take(np.asarray(parent).T, node, axis=1).T - left
+        right = np.take(parent.T, node, axis=1).T - left
     if spec.is_conservative:
-        gain = _class_max(left) + _class_max(right) - at(_class_max(parent))
+        gain = _class_max(left) + _class_max(right) - at(terms[0])
         return spec.conservative_constant() * gain / dataset_size
-    n = _class_sum(parent)
     n_left = _class_sum(left)
-    n_right = at(n) - n_left
+    n_right = at(terms[0]) - n_left
     if spec.kind == "twoing":
         gap = _class_sum(np.abs(left / n_left[..., None] - right / n_right[..., None]))
         return (n_left / dataset_size) * (n_right / dataset_size) / 4.0 * np.square(gap)
-    return at(n / dataset_size * counts_impurity(spec, parent)) - (
+    return at(terms[1]) - (
         n_left / dataset_size * counts_impurity(spec, left)
         + n_right / dataset_size * counts_impurity(spec, right)
     )

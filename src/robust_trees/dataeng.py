@@ -15,8 +15,10 @@ import math
 import os
 import threading
 import time
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -104,15 +106,25 @@ def _parse_csv(path, label_column, header: bool) -> tuple[np.ndarray, list[str]]
     """Finite float features and raw labels of a CSV file (no labels if
     ``label_column`` is None); malformed rows raise naming ``path:line``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        return _parse_rows(path, csv.reader(fh), label_column, header)
+
+
+def _parse_rows(path, reader, label_column, header: bool) -> tuple[np.ndarray, list[str]]:
+    """:func:`_parse_csv` of the rows of ``reader``.
+
+    Rows stream into one typed buffer of 8 bytes per value.  A row whose
+    values do not all parse, or whose sum is not finite, is read again token
+    by token, so the first bad token of the first bad row is the one named.
+    """
+    top = next(reader, None)
+    if top is None:
         raise DataFormatError(f"{path}: empty file")
     offset = 1 if header else 0
     label_idx = label_column
     if label_column is not None and not isinstance(label_column, int):
         if header:
             try:
-                label_idx = rows[0].index(str(label_column))
+                label_idx = top.index(str(label_column))
             except ValueError:
                 raise DataFormatError(
                     f"{path}: no column named {label_column!r} in header"
@@ -124,49 +136,61 @@ def _parse_csv(path, label_column, header: bool) -> tuple[np.ndarray, list[str]]
                 raise DataFormatError(
                     f"{path}: without a header, label_column must be an integer index"
                 ) from None
-    body = rows[offset:]
-    if not body:
+    first = next(reader, None) if header else top
+    if first is None:
         raise DataFormatError(f"{path}: no data rows")
-    width = len(body[0])
+    width = len(first)
     if label_idx is not None:
         if not (-width <= label_idx < width):
             raise DataFormatError(f"{path}: label column {label_idx} out of range")
         label_idx %= width
     raw_labels: list[str] = []
-    features = np.empty((len(body), width - (label_idx is not None)), dtype=np.float64)
-    for i, row in enumerate(body):
-        lineno = i + offset + 1
+    values = array("d")
+    n_rows = 0
+    for lineno, row in enumerate(chain([first], reader), start=offset + 1):
         if len(row) != width:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {width} columns, found {len(row)}"
             )
         if label_idx is not None:
-            raw_labels.append(row[label_idx])
-        j = 0
-        for c, tok in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                value = float(tok)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: cannot parse {tok!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise DataFormatError(f"{path}:{lineno}: non-finite feature value {tok!r}")
-            features[i, j] = value
-            j += 1
-    return features, raw_labels
+            raw_labels.append(row.pop(label_idx))
+        try:
+            parsed = list(map(float, row))
+        except ValueError:
+            parsed = None
+        if parsed is None or not math.isfinite(sum(parsed)):
+            parsed = _finite_floats(path, lineno, row)
+        values.fromlist(parsed)
+        n_rows += 1
+    d = width - (label_idx is not None)
+    return np.frombuffer(values, dtype=np.float64).reshape(n_rows, d), raw_labels
+
+
+def _finite_floats(path, lineno: int, tokens: list[str]) -> list[float]:
+    """``tokens`` as floats, or ``DataFormatError`` naming the first one that
+    does not parse or is not finite."""
+    out = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: cannot parse {tok!r} as a number") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"{path}:{lineno}: non-finite feature value {tok!r}")
+        out.append(value)
+    return out
 
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Load a sparse LIBSVM text file into a dense dataset.
 
     Lines are ``label index:value ...`` with 1-based, strictly ascending
-    indices; absent indices become 0.0.
+    indices; absent indices become 0.0.  The nonzero values stream into
+    typed buffers (8 bytes per index and per value) until the dense matrix
+    is filled in one assignment.
     """
     raw_labels: list[str] = []
-    entries: list[list[tuple[int, float]]] = []
+    lengths, cols, vals = array("q"), array("q"), array("d")
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -175,7 +199,8 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
                 continue
             tokens = line.split()
             raw_labels.append(tokens[0])
-            row: list[tuple[int, float]] = []
+            row_cols: list[int] = []
+            row_vals: list[float] = []
             prev = 0
             for tok in tokens[1:]:
                 try:
@@ -193,19 +218,24 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
                 if not math.isfinite(val):
                     raise DataFormatError(f"{path}:{lineno}: non-finite value {tok!r}")
                 prev = idx
-                row.append((idx, val))
-            if row:
-                max_index = max(max_index, row[-1][0])
-            entries.append(row)
+                row_cols.append(idx)
+                row_vals.append(val)
+            if row_cols:
+                max_index = max(max_index, row_cols[-1])
+            lengths.append(len(row_cols))
+            vals.fromlist(row_vals)
+            try:
+                cols.fromlist(row_cols)
+            except OverflowError:  # past int64: no matrix is that wide, which fails below
+                pass
     if not raw_labels:
         raise DataFormatError(f"{path}: empty file")
     d = max_index if n_features is None else int(n_features)
     if d < max_index:
         raise DataFormatError(f"{path}: feature index {max_index} exceeds n_features={d}")
-    features = np.zeros((len(entries), d), dtype=np.float64)
-    for i, row in enumerate(entries):
-        for idx, val in row:
-            features[i, idx - 1] = val
+    features = np.zeros((len(lengths), d), dtype=np.float64)
+    rows = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
+    features[rows, np.frombuffer(cols, dtype=np.int64) - 1] = np.frombuffer(vals, dtype=np.float64)
     labels, class_names = _index_labels(raw_labels)
     return Dataset(features, labels, class_names)
 

@@ -20,6 +20,7 @@ from robust_trees.dataeng import (
     apply_label_map,
     evaluate,
     load_csv,
+    load_csv_features,
     load_dataset,
     load_libsvm,
     train_test_split,
@@ -31,6 +32,7 @@ from robust_trees.forest import ForestParams, forest_from_dict, forest_to_dict
 from robust_trees.noise import NoiseSpec
 from robust_trees.tree import TreeParams
 from synth import gaussian_blobs, separable_categorical, write_csv, write_libsvm
+from test_criteria import traced_peak
 
 
 class TestLoadCsv:
@@ -84,6 +86,61 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="no column"):
             load_csv(path, label_column="class")
 
+    @pytest.mark.parametrize("text, message", [
+        # the first bad token of a row is named, whether it is unparsable or not finite
+        ("a,b,label\n1,2,x\ninf,oops,y\n", ":3: non-finite feature value 'inf'"),
+        ("a,b,label\n1,2,x\noops,inf,y\n", ":3: cannot parse 'oops' as a number"),
+        ("a,label\n1,x\nnan,y\n", ":3: non-finite feature value 'nan'"),
+        ("a,label\n1,x\n-inf,y\n", ":3: non-finite feature value '-inf'"),
+        # the first bad row wins, before a later ragged one is read
+        ("a,label\n1,x\nnan,y\n1,2,z\n", ":3: non-finite feature value 'nan'"),
+        ("a,label\n1,x\n1,2,z\nnan,y\n", ":3: expected 2 columns, found 3"),
+        # a label column in the middle is skipped, whatever it holds
+        ("a,label,b\n1,inf,2\n3,y,oops\n", ":3: cannot parse 'oops' as a number"),
+    ], ids=["inf-then-oops", "oops-then-inf", "nan", "minus-inf", "bad-before-ragged",
+            "ragged-before-bad", "label-in-the-middle"])
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_error_messages_without_a_header_or_labels(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("1,0,2\n3,1,inf\n")  # lines count from 1 with no header
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, label_column=1, header=False)
+        assert str(exc.value) == f"{path}:2: non-finite feature value 'inf'"
+        path.write_text("a,b\n1,2\n3,x\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv_features(path)
+        assert str(exc.value) == f"{path}:3: cannot parse 'x' as a number"
+
+    def test_finite_values_whose_sum_overflows_load(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,label\n1e308,1e308,x\n-1e308,-1e308,y\n")
+        ds = load_csv(path)
+        assert ds.features.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+        assert ds.class_names == ("x", "y")
+
+    def test_label_column_in_the_middle(self, tmp_path):
+        path = tmp_path / "middle.csv"
+        path.write_text("a,label,b\n1,x,2\n3,y,4\n")
+        ds = load_csv(path)
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_peak_memory_holds_8_bytes_per_value(self, tmp_path):
+        # a CSV the size of the grid benchmark's, 6,000 rows of 8 floats and a
+        # label; held as lists of strings, its rows peaked at 4.7 MB
+        X, y = gaussian_blobs(2000, np.eye(3, 8) * 2.5, seed=7)
+        path = tmp_path / "blobs.csv"
+        write_csv(path, X, y)
+        ds = load_csv(path)
+        assert np.array_equal(ds.features, X)
+        assert traced_peak(lambda: load_csv(path)) < 1.5e6
+
 
 class TestLoadLibsvm:
     def test_sparse_line(self, tmp_path):
@@ -128,6 +185,27 @@ class TestLoadLibsvm:
         write_libsvm(path, X, y)
         ds = load_libsvm(path, n_features=X.shape[1])
         assert np.array_equal(ds.features, X)
+
+    def test_index_past_int64_fails_as_a_too_wide_matrix(self, tmp_path):
+        path = tmp_path / "wide.libsvm"
+        path.write_text("1 99999999999999999999:1\n2 1:x\n")
+        with pytest.raises(DataFormatError, match=":2: malformed feature token '1:x'"):
+            load_libsvm(path)  # a later line's error still comes first
+        path.write_text("1 99999999999999999999:1\n2 1:1\n")
+        with pytest.raises(DataFormatError, match="exceeds n_features=3"):
+            load_libsvm(path, n_features=3)
+        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+            load_libsvm(path)
+
+    def test_peak_memory_holds_8_bytes_per_value(self, tmp_path):
+        # a Mushrooms-sized file, 8,124 rows of 22 nonzeros in 112 columns; one
+        # tuple per nonzero value peaked at 23.4 MB
+        X, y = separable_categorical()
+        path = tmp_path / "mushrooms.libsvm"
+        write_libsvm(path, X, y)
+        ds = load_libsvm(path)
+        assert np.array_equal(ds.features, X)
+        assert traced_peak(lambda: load_libsvm(path)) < 16e6
 
 
 class TestLoadDataset:
