@@ -181,13 +181,21 @@ def _finite_floats(path, lineno: int, tokens: list[str]) -> list[float]:
     return out
 
 
+def _physical_memory() -> float:
+    """Physical memory in bytes, or infinity where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Load a sparse LIBSVM text file into a dense dataset.
 
     Lines are ``label index:value ...`` with 1-based, strictly ascending
     indices; absent indices become 0.0.  The nonzero values stream into
     typed buffers (8 bytes per index and per value) until the dense matrix
-    is filled in one assignment.
+    is filled in one assignment; one that does not fit in memory fails.
     """
     raw_labels: list[str] = []
     lengths, cols, vals = array("q"), array("q"), array("d")
@@ -233,7 +241,13 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     d = max_index if n_features is None else int(n_features)
     if d < max_index:
         raise DataFormatError(f"{path}: feature index {max_index} exceeds n_features={d}")
-    features = np.zeros((len(lengths), d), dtype=np.float64)
+    try:
+        if 8 * len(lengths) * d > _physical_memory():  # an overcommitted allocation may not fail
+            raise MemoryError
+        features = np.zeros((len(lengths), d), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+        raise DataFormatError(f"{path}: a dense {len(lengths)} x {d} float64 matrix does not"
+                              " fit in memory") from None
     rows = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
     features[rows, np.frombuffer(cols, dtype=np.int64) - 1] = np.frombuffer(vals, dtype=np.float64)
     labels, class_names = _index_labels(raw_labels)
@@ -370,8 +384,6 @@ def tune_lambda(
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     split_seed, model_stream = base.spawn(2)
     fit_part, val_part = train_test_split(train, 1.0 - validation_fraction, split_seed)
-    if fit_part.n_samples < 1 or val_part.n_samples < 1:
-        raise ValueError("tuning shards are too small")
     model_seed = int(model_stream.generate_state(1)[0])
     scores: list[tuple[float, float]] = []
     best_lam, best_acc = grid[0], -1.0

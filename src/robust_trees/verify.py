@@ -45,43 +45,31 @@ def impurity_suite(seed: int = 0, n_per_criterion: int = 40) -> list[CheckResult
     """Closed-form impurities vs grid minimization of the defining risks."""
     rng = np.random.default_rng(seed)
     grid = GridSpec()
-    pairs = [
-        ("gini/mse", CriterionSpec("gini"), "mse", {}),
-        ("entropy/ce", CriterionSpec("entropy"), "ce", {}),
-        ("misclassification/01", CriterionSpec("misclassification"), "01", {}),
-        ("mae/mae", CriterionSpec("mae"), "mae", {}),
-        ("gce(q=0.5)", CriterionSpec("gce", q=0.5), "gce", {"q": 0.5}),
-        ("gce(q=2)", CriterionSpec("gce", q=2.0), "gce", {"q": 2.0}),
+    # (name, criterion, oracle loss, its keywords, class count or None to draw one
+    # from 2-5 per histogram, tolerance)
+    table = [
+        ("gini/mse", CriterionSpec("gini"), "mse", {}, None, SIMPLEX_TOL),
+        ("entropy/ce", CriterionSpec("entropy"), "ce", {}, None, SIMPLEX_TOL),
+        ("misclassification/01", CriterionSpec("misclassification"), "01", {}, None, SIMPLEX_TOL),
+        ("mae/mae", CriterionSpec("mae"), "mae", {}, None, SIMPLEX_TOL),
+        ("gce(q=0.5)", CriterionSpec("gce", q=0.5), "gce", {"q": 0.5}, None, SIMPLEX_TOL),
+        ("gce(q=2)", CriterionSpec("gce", q=2.0), "gce", {"q": 2.0}, None, SIMPLEX_TOL),
+        *((f"ne(lambda={lam:g})", CriterionSpec("ne", lam=lam), "ne",
+           {"mu": mu_from_lambda(lam)}, 2, NE_TOL) for lam in (0.25, 0.5, 0.75, 1.0)),
     ]
     results = []
-    for name, spec, loss, kw in pairs:
-        worst = 0.0
-        worst_counts = None
+    for name, spec, loss, kw, k, tol in table:
+        worst, worst_counts = 0.0, None
         for _ in range(n_per_criterion):
-            hist = _random_histogram(rng, int(rng.integers(2, 6)))
+            hist = _random_histogram(rng, k or int(rng.integers(2, 6)))
             closed = impurity(spec, hist, hist.total).value
             gap = abs(closed - brute_force_impurity(loss, hist, grid, **kw))
             if gap > worst:
                 worst, worst_counts = gap, hist.counts.tolist()
         results.append(CheckResult(
-            name, worst <= SIMPLEX_TOL,
-            f"worst |closed-oracle| = {worst:.3e} (tol {SIMPLEX_TOL:g})"
-            + ("" if worst <= SIMPLEX_TOL else f" at counts {worst_counts}"),
-        ))
-    for lam in (0.25, 0.5, 0.75, 1.0):
-        worst = 0.0
-        worst_counts = None
-        for _ in range(n_per_criterion):
-            hist = _random_histogram(rng, 2)
-            closed = impurity(CriterionSpec("ne", lam=lam), hist, hist.total).value
-            oracle = brute_force_impurity("ne", hist, grid, mu=mu_from_lambda(lam))
-            gap = abs(closed - oracle)
-            if gap > worst:
-                worst, worst_counts = gap, hist.counts.tolist()
-        results.append(CheckResult(
-            f"ne(lambda={lam:g})", worst <= NE_TOL,
-            f"worst |closed-oracle| = {worst:.3e} (tol {NE_TOL:g})"
-            + ("" if worst <= NE_TOL else f" at counts {worst_counts}"),
+            name, worst <= tol,
+            f"worst |closed-oracle| = {worst:.3e} (tol {tol:g})"
+            + ("" if worst <= tol else f" at counts {worst_counts}"),
         ))
     return results
 

@@ -1,7 +1,9 @@
 """Loaders, splits, lambda tuning, and the evaluation grid."""
 
+import math
 import multiprocessing
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -186,7 +188,7 @@ class TestLoadLibsvm:
         ds = load_libsvm(path, n_features=X.shape[1])
         assert np.array_equal(ds.features, X)
 
-    def test_index_past_int64_fails_as_a_too_wide_matrix(self, tmp_path):
+    def test_index_past_int64_fails_as_a_too_wide_matrix(self, tmp_path, monkeypatch):
         path = tmp_path / "wide.libsvm"
         path.write_text("1 99999999999999999999:1\n2 1:x\n")
         with pytest.raises(DataFormatError, match=":2: malformed feature token '1:x'"):
@@ -194,7 +196,31 @@ class TestLoadLibsvm:
         path.write_text("1 99999999999999999999:1\n2 1:1\n")
         with pytest.raises(DataFormatError, match="exceeds n_features=3"):
             load_libsvm(path, n_features=3)
-        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        too_wide = ": a dense 2 x 99999999999999999999 float64 matrix does not fit in memory$"
+        with pytest.raises(DataFormatError, match=too_wide):
+            load_libsvm(path)
+        # where physical memory is unknown, numpy's "Maximum allowed dimension
+        # exceeded" fails the same way
+        monkeypatch.setattr(dataeng, "_physical_memory", lambda: math.inf)
+        with pytest.raises(DataFormatError, match=too_wide):
+            load_libsvm(path)
+
+    def test_matrix_larger_than_memory_fails_before_allocating(self, tmp_path, monkeypatch):
+        # 1 x 9999999999999 float64 is 80 TB: checked before numpy allocates,
+        # since a kernel that overcommits memory may let the allocation succeed
+        path = tmp_path / "huge.libsvm"
+        path.write_text("1 9999999999999:1\n")
+        calls, zeros = [], np.zeros
+        monkeypatch.setattr(np, "zeros", lambda *a, **kw: calls.append(a) or zeros(*a, **kw))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: a dense 1 x"
+                                                  " 9999999999999 float64 matrix does not"):
+            load_libsvm(path)
+        assert calls == []
+        path.write_text("1 1:1 2:1\n")  # 16 bytes
+        monkeypatch.setattr(dataeng, "_physical_memory", lambda: 16)
+        assert load_libsvm(path).features.tolist() == [[1.0, 1.0]]
+        monkeypatch.setattr(dataeng, "_physical_memory", lambda: 15)
+        with pytest.raises(DataFormatError, match="does not fit in memory"):
             load_libsvm(path)
 
     def test_peak_memory_holds_8_bytes_per_value(self, tmp_path):

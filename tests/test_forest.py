@@ -1,15 +1,12 @@
 """Forest training, averaging, determinism, serialization."""
 
 import json
-import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from robust_trees import tree
 
 from robust_trees.criteria import CriterionSpec
 from robust_trees.forest import (
@@ -24,7 +21,7 @@ from robust_trees.forest import (
     save_forest,
 )
 from robust_trees.tree import TreeParams, fit, predict_batch, tree_from_dict, tree_to_dict
-from test_split_search import SPECS
+from reference import SPECS, grow, grow_forest
 from test_tree import single_rows, threshold_rows
 
 
@@ -51,8 +48,11 @@ class TestFitForest:
             n_trees=1, bootstrap=False, rng_seed=4,
         )
         forest = fit_forest(X, y, fp)
-        tree = fit(X, y, TreeParams(CriterionSpec("entropy")))
-        assert json.dumps(tree_to_dict(forest.trees[0])) == json.dumps(tree_to_dict(tree))
+        params = TreeParams(CriterionSpec("entropy"))
+        tree = fit(X, y, params)
+        expected = json.dumps(grow(X, y, 2, params))
+        assert json.dumps(tree_to_dict(forest.trees[0])) == expected
+        assert json.dumps(tree_to_dict(tree)) == expected
         cls_f, dist_f = predict_forest_batch(forest, X)
         cls_t, dist_t = predict_batch(tree, X)
         assert (cls_f == cls_t).all()
@@ -88,48 +88,6 @@ class TestFitForest:
         assert len(forest.trees) == 2
 
 
-def _depth_first_forest(X, y, k, params: ForestParams) -> list[dict]:
-    """The trees of a forest by the plain depth-first loop, one tree after
-    another: each tree's generator draws its bootstrap resample, which is
-    binned alone, and then its features node by node in preorder, and every
-    node is searched alone."""
-    n, d = X.shape
-    tp = params.tree_params
-    spec, msl, max_depth = tp.criterion, tp.min_samples_leaf, tp.max_depth
-    subsample = tp.feature_subsample or min(d, math.ceil(math.sqrt(d)))
-    trees = []
-    for seed in np.random.SeedSequence(params.rng_seed).spawn(params.n_trees):
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        Xt, yt = X[rows], y[rows]
-        bins = tree._bin_columns(Xt, yt, k)
-        nodes = []
-
-        def grow(idx, depth):
-            counts = np.bincount(yt[idx], minlength=k)
-            found = None
-            if (np.count_nonzero(counts) > 1 and (max_depth is None or depth < max_depth)
-                    and idx.size >= 2 * msl):
-                feats = None
-                if subsample < d:
-                    feats = np.sort(rng.choice(d, size=subsample, replace=False))
-                found = tree._best_splits(spec, bins, idx, np.array([idx.size]), counts[None],
-                                          n, msl, None if feats is None else feats[None])
-            nodes.append({"kind": "leaf", "counts": counts.tolist()})
-            if found is not None and found[0][0] > spec.halting_slack:
-                f, t = int(found[1][0]), float(found[2][0])
-                mask = Xt[idx, f] <= t
-                nodes[-1] = node = {"kind": "split", "feature": f, "threshold": t}
-                node["left"] = len(nodes)
-                grow(idx[mask], depth + 1)
-                node["right"] = len(nodes)
-                grow(idx[~mask], depth + 1)
-
-        grow(np.arange(n), 0)
-        trees.append({"criterion": spec.to_dict(), "K": k, "nodes": nodes})
-    return trees
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), one_hot=st.integers(0, 4),
        tied=st.integers(0, 3), k=st.integers(2, 4), spec=st.sampled_from(SPECS),
@@ -149,7 +107,7 @@ def test_lockstep_forest_equals_a_depth_first_forest(seed, n, one_hot, tied, k, 
                                      feature_subsample=d if every_feature else None),
                           n_trees=n_trees, bootstrap=bootstrap, rng_seed=seed)
     forest = forest_to_dict(fit_forest(X, y, params, n_classes=k))
-    assert json.dumps(forest["trees"]) == json.dumps(_depth_first_forest(X, y, k, params))
+    assert json.dumps(forest["trees"]) == json.dumps(grow_forest(X, y, k, params))
 
 
 class TestPredictForest:

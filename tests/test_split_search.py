@@ -3,10 +3,10 @@
 ``tree._best_splits`` reads its nodes' per-fit ``bin * K + label`` keys and
 counts them either with one ``bincount`` or by sorting each feature's keys,
 as ``tree._use_histogram`` picks.  Both ways must give every node the
-identical (score, feature, threshold), bit for bit, equal to a plain loop
-over the midpoints of the node's distinct values, whether the node is
-searched alone or with others, and a fit must not depend on which way each
-search took.
+identical (score, feature, threshold), bit for bit, equal to the one-node
+search of ``reference.loop_search``, whether the node is searched alone or
+with others, and a fit or forest must equal ``reference.grow`` or
+``reference.grow_forest`` whichever way each search counts.
 """
 
 import json
@@ -17,51 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_trees import tree
-from robust_trees.criteria import CriterionSpec, split_scores
+from robust_trees.criteria import CriterionSpec
 from robust_trees.forest import ForestParams, fit_forest, forest_to_dict
 from robust_trees.tree import TreeParams, fit, tree_to_dict
+from reference import SPECS, _bits, _column, grow, grow_forest, loop_search
 from synth import gaussian_blobs, separable_categorical
 
-SPECS = [CriterionSpec("gini"), CriterionSpec("entropy"), CriterionSpec("misclassification"),
-         CriterionSpec("mae"), CriterionSpec("gce", q=0.5), CriterionSpec("gce", q=2.0),
-         CriterionSpec("ne", lam=0.0), CriterionSpec("ne", lam=0.5),
-         CriterionSpec("ne", lam=1.0), CriterionSpec("twoing")]
-
-SIGNED_LEVELS = np.array([-1.0, -0.0, 0.0, 1.0, 2.5])
-
-
-def _column(rng, kind: str, n: int) -> np.ndarray:
-    if kind == "low":  # a few levels, signed zeros among them
-        return rng.choice(SIGNED_LEVELS[:rng.integers(1, 6)], n)
-    if kind == "mixed":  # repeats and distinct values side by side
-        return np.round(rng.normal(0, 1, n), 1)
-    return rng.normal(0, 1, n)
-
-
-def _bits(value) -> int:
-    return int(np.float64(value).view(np.int64))
-
-
-def _loop_search(spec, X, y, idx, feats, parent_counts, dataset_size, min_samples_leaf):
-    """The best split as (score bits, feature, threshold bits), or None, by a
-    loop over each candidate feature's distinct values in the node, scored in
-    one ``split_scores`` call.  A threshold is the midpoint of the values
-    around it, or the lower value when the midpoint is not in [lower, upper)."""
-    found, lefts = [], []
-    for f in range(X.shape[1]) if feats is None else feats:
-        col = X[idx, f]
-        values = np.unique(col).tolist()
-        for lo, hi in zip(values[:-1], values[1:]):
-            goes_left = col <= lo
-            if min(goes_left.sum(), (~goes_left).sum()) >= min_samples_leaf:
-                mid = (lo + hi) / 2.0  # Python floats overflow to inf without a warning
-                found.append((int(f), _bits(mid if lo <= mid < hi else lo)))
-                lefts.append(np.bincount(y[idx][goes_left], minlength=parent_counts.size))
-    if not found:
-        return None
-    scores = split_scores(spec, parent_counts, np.array(lefts), dataset_size)
-    best = int(np.argmax(scores))
-    return (_bits(scores[best]), *found[best])
+# midpoints that round onto the upper value or overflow
+EDGES = np.array([np.nextafter(1.0, 0.0), 1.0, 1.5e308, 1.7e308])
 
 
 def _answers(found) -> list:
@@ -87,23 +50,31 @@ def _search(spec, bins, idx: list, feats, counts, n, min_samples_leaf, counted: 
                                           min_samples_leaf, feats))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["low", "mixed", "continuous"]), min_size=1, max_size=6),
-       n=st.integers(2, 60), k=st.sampled_from([2, 3]), spec=st.sampled_from(SPECS),
-       min_samples_leaf=st.integers(1, 4), subset=st.booleans(), resample=st.booleans(),
-       nodes=st.integers(1, 6))
-def test_histogram_search_equals_sort_search(seed, kinds, n, k, spec, min_samples_leaf,
-                                             subset, resample, nodes):
+       n=st.integers(2, 60), k=st.integers(2, 4), spec=st.sampled_from(SPECS),
+       min_samples_leaf=st.integers(1, 4), subset=st.booleans(),
+       rows=st.sampled_from(["subset", "resample", "repeats"]), nodes=st.integers(1, 6),
+       twin=st.booleans(), edges=st.booleans())
+def test_histogram_search_equals_sort_search(seed, kinds, n, k, spec, min_samples_leaf, subset,
+                                             rows, nodes, twin, edges):
     rng = np.random.default_rng(seed)
     X = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    if twin:  # a copy of the first feature ties with it on every candidate
+        X = np.column_stack([X, X[:, 0]])
+    if edges:
+        X = np.column_stack([X, rng.choice(EDGES, n)])
     y = rng.integers(0, k, n)
     bins = tree._bin_columns(X, y, k)
-    # nodes: subsets of the rows (maybe empty), or with repeats as in a bootstrap resample
-    idx = [rng.integers(0, n, n) if resample else np.flatnonzero(rng.random(n) < 0.7)
-           for _ in range(nodes)]
+    # nodes: subsets of the rows (maybe empty), resamples of n rows as in a
+    # bootstrap, or 1 to n rows drawn with repeats
+    draw = {"subset": lambda: np.flatnonzero(rng.random(n) < 0.7),
+            "resample": lambda: rng.integers(0, n, n),
+            "repeats": lambda: rng.integers(0, n, rng.integers(1, n + 1))}[rows]
+    idx = [draw() for _ in range(nodes)]
     feats = [None] * nodes
-    if subset:  # each node its own sorted draw of f features
+    if subset:  # each node its own sorted draw of f features, as a forest's trees make
         f = rng.integers(1, X.shape[1] + 1)
         feats = np.array([np.sort(rng.choice(X.shape[1], size=f, replace=False))
                           for _ in range(nodes)])
@@ -111,7 +82,7 @@ def test_histogram_search_equals_sort_search(seed, kinds, n, k, spec, min_sample
     found = [_search(spec, bins, idx, feats if subset else None, counts, n, min_samples_leaf,
                      counted) for counted in (True, False)]
     assert found[0] == found[1]
-    assert found[0] == [_loop_search(spec, X, y, i, chosen, c, n, min_samples_leaf)
+    assert found[0] == [loop_search(spec, X, y, i, chosen, c, n, min_samples_leaf)
                         for i, chosen, c in zip(idx, feats, counts)]
 
 
@@ -136,8 +107,8 @@ def test_a_node_without_a_candidate_scores_minus_inf(rows, min_samples_leaf, sub
         feats = np.array([[1]] * len(idx)) if subset else None
         found = _search(spec, bins, idx, feats, counts, n, min_samples_leaf, counted)
         assert found == [None if i is node else
-                         _loop_search(spec, X, y, i, None if feats is None else feats[0], c, n,
-                                      min_samples_leaf) for i, c in zip(idx, counts)]
+                         loop_search(spec, X, y, i, None if feats is None else feats[0], c, n,
+                                     min_samples_leaf) for i, c in zip(idx, counts)]
         assert None not in [found[j] for j, i in enumerate(idx) if i is other]
 
 
@@ -221,26 +192,28 @@ def _counts(monkeypatch) -> dict:
 @pytest.mark.parametrize("spec", [CriterionSpec("entropy"), CriterionSpec("misclassification"),
                                   CriterionSpec("ne", lam=0.5), CriterionSpec("twoing")])
 def test_fit_equals_a_sort_only_fit(spec, monkeypatch):
-    for data, mixed in ((_one_hot(), True), (_blobs(), False)):
+    for (X, y), mixed in ((_one_hot(), True), (_blobs(), False)):
         params = TreeParams(spec, min_samples_leaf=2)
+        expected = json.dumps(grow(X, y, int(y.max()) + 1, params))
         with monkeypatch.context() as m:
             seen = _counts(m)
-            chosen = json.dumps(tree_to_dict(fit(*data, params)))
+            assert json.dumps(tree_to_dict(fit(X, y, params))) == expected
         # one-hot nodes with a few rows sort; larger ones count; the blobs'
         # continuous columns have as many bins as rows, so their nodes sort
         assert (seen[True] > 0 and seen[False] > 0) if mixed else seen[True] == 0
         for counted in (True, False):
             with monkeypatch.context() as m:
                 m.setattr(tree, "_use_histogram", lambda bins, rows, features: counted)
-                assert json.dumps(tree_to_dict(fit(*data, params))) == chosen
+                assert json.dumps(tree_to_dict(fit(X, y, params))) == expected
 
 
 def test_subsampled_bootstrap_forest_equals_a_sort_only_forest(monkeypatch):
     X, y = _one_hot()
     params = ForestParams(TreeParams(CriterionSpec("entropy")), n_trees=3, rng_seed=11)
+    expected = json.dumps(grow_forest(X, y, 2, params))
     with monkeypatch.context() as m:
         seen = _counts(m)
-        chosen = json.dumps(forest_to_dict(fit_forest(X, y, params)))
+        assert json.dumps(forest_to_dict(fit_forest(X, y, params))["trees"]) == expected
     assert seen[True] > 0
     monkeypatch.setattr(tree, "_use_histogram", lambda bins, rows, features: False)
-    assert json.dumps(forest_to_dict(fit_forest(X, y, params))) == chosen
+    assert json.dumps(forest_to_dict(fit_forest(X, y, params))["trees"]) == expected
