@@ -2,8 +2,10 @@
 
 ``tree.fit`` grows nodes of ``tree._LEVEL_ROWS`` rows or more depth-first,
 each searched alone.  Smaller nodes wait, and then grow together, one
-``tree._best_splits`` call per level (whose answers ``test_split_search``
-checks node by node).  A fit must give the JSON of ``reference.grow``,
+``tree._best_splits`` call per level.  That call must give every node the
+bits ``reference.loop_search`` gives it, over every feature or over each
+node's own drawn features (as a forest searches its trees' small nodes),
+whichever way it counts, and a fit must give the JSON of ``reference.grow``,
 which grows every node depth-first.
 """
 
@@ -18,8 +20,39 @@ from robust_trees import tree
 from robust_trees.criteria import CriterionSpec, split_scores
 from robust_trees.forest import ForestParams, fit_forest
 from robust_trees.tree import TreeParams, fit, tree_to_dict
-from reference import SPECS, _bits, _column, grow
+from reference import SPECS, _bits, _column, grow, loop_search
 from synth import gaussian_blobs, separable_categorical
+from test_split_search import EDGES, _search
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["low", "mixed", "continuous"]), min_size=1, max_size=5),
+       n=st.integers(2, 60), k=st.integers(2, 4), spec=st.sampled_from(SPECS),
+       min_samples_leaf=st.integers(1, 4), nodes=st.integers(1, 6), twin=st.booleans(),
+       edges=st.booleans(), counted=st.booleans(), subset=st.booleans())
+def test_batched_search_equals_the_lone_search(seed, kinds, n, k, spec, min_samples_leaf,
+                                               nodes, twin, edges, counted, subset):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    if twin:  # a copy of the first feature ties with it on every candidate
+        X = np.column_stack([X, X[:, 0]])
+    if edges:
+        X = np.column_stack([X, rng.choice(EDGES, n)])
+    y = rng.integers(0, k, n)
+    bins = tree._bin_columns(X, y, k)
+    # nodes of 1 to n rows, drawn with repeats as in a bootstrap resample
+    idx = [rng.integers(0, n, rng.integers(1, n + 1)) for _ in range(nodes)]
+    counts = np.array([np.bincount(y[i], minlength=k) for i in idx])
+    feats = [None] * nodes
+    if subset:  # each node its own sorted draw of f features, as a forest's trees make
+        f = rng.integers(1, X.shape[1] + 1)
+        feats = np.array([np.sort(rng.choice(X.shape[1], size=f, replace=False))
+                          for _ in range(nodes)])
+    found = _search(spec, bins, idx, feats if subset else None, counts, n, min_samples_leaf,
+                    counted)
+    assert found == [loop_search(spec, X, y, i, chosen, c, n, min_samples_leaf)
+                     for i, chosen, c in zip(idx, feats, counts)]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
@@ -33,7 +66,7 @@ def test_split_scores_gathers_each_parent_bit_for_bit(spec):
         assert _bits(batched[i]) == _bits(split_scores(spec, parents[node[i]], left[i], 500))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 700),
        columns=st.tuples(st.integers(0, 10), st.integers(0, 2), st.integers(0, 4)).filter(any),
        k=st.integers(2, 4), spec=st.sampled_from(SPECS),

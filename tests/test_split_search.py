@@ -50,7 +50,7 @@ def _search(spec, bins, idx: list, feats, counts, n, min_samples_leaf, counted: 
                                           min_samples_leaf, feats))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["low", "mixed", "continuous"]), min_size=1, max_size=6),
        n=st.integers(2, 60), k=st.integers(2, 4), spec=st.sampled_from(SPECS),

@@ -5,7 +5,8 @@ histogram, takes its class counts per bin from its stack entry when its
 parent left them there: the parent's histogram less the smaller sibling's
 count.  Those are the integers a count of the node's own keys gives, so a
 search given a histogram must return the bits it returns when it counts,
-and a fit that carries histograms must equal ``reference.grow``.
+and every fit must equal ``reference.grow``, in which every node counts
+its own rows.
 """
 
 import json
@@ -20,6 +21,22 @@ from robust_trees.tree import TreeParams, fit, tree_to_dict
 from reference import SPECS, _column, grow
 from synth import separable_categorical
 from test_split_search import _answers, _search
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 700), low=st.integers(1, 10),
+       mixed=st.integers(0, 2), k=st.sampled_from([2, 3]), spec=st.sampled_from(SPECS),
+       max_depth=st.one_of(st.none(), st.integers(1, 10)), min_samples_leaf=st.integers(1, 40))
+def test_fit_equals_a_depth_first_tree_that_counts_every_node(seed, n, low, mixed, k, spec,
+                                                              max_depth, min_samples_leaf):
+    rng = np.random.default_rng(seed)
+    # low-cardinality columns, which nodes of 128 rows or more count by histogram,
+    # and maybe a few columns of repeats among many values
+    X = np.column_stack([_column(rng, "low", n) for _ in range(low)]
+                        + [_column(rng, "mixed", n) for _ in range(mixed)])
+    y = rng.integers(0, k, n)
+    params = TreeParams(spec, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    assert json.dumps(tree_to_dict(fit(X, y, params, k))) == json.dumps(grow(X, y, k, params))
 
 
 def test_carried_histograms_are_the_nodes_own_counts(monkeypatch):
