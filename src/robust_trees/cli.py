@@ -173,6 +173,8 @@ def cmd_predict(parser, args) -> int:
             raise ValueError(f"the data has {ds.n_classes} classes, more than the"
                              f" model's {model.n_classes}")
         X, y = ds.features, ds.labels
+    if args.format == "libsvm":
+        X = dataeng._pad_libsvm(X, dataeng._model_columns(model), args.data)
     classes, dists = dataeng._model_predictions(model, X)
     if args.out:
         dataeng.write_csv(args.out, ["prediction"] + [f"p{k}" for k in range(dists.shape[1])],

@@ -189,6 +189,29 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _zeros(n: int, d: int, path) -> np.ndarray:
+    """An n x d float64 matrix of zeros, or ``DataFormatError`` naming
+    ``path`` when it does not fit in memory."""
+    try:
+        if 8 * n * d > _physical_memory():  # an overcommitted allocation may not fail
+            raise MemoryError
+        return np.zeros((n, d), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+        raise DataFormatError(f"{path}: a dense {n} x {d} float64 matrix does not"
+                              " fit in memory") from None
+
+
+def _pad_libsvm(X: np.ndarray, d: int, path) -> np.ndarray:
+    """The features of a LIBSVM file with zero columns appended up to ``d``
+    columns: the file leaves its zero entries out, so a row read from it
+    may end before a feature that a model splits on."""
+    if X.shape[1] >= d:
+        return X
+    wide = _zeros(X.shape[0], d, path)
+    wide[:, :X.shape[1]] = X
+    return wide
+
+
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Load a sparse LIBSVM text file into a dense dataset.
 
@@ -241,13 +264,7 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     d = max_index if n_features is None else int(n_features)
     if d < max_index:
         raise DataFormatError(f"{path}: feature index {max_index} exceeds n_features={d}")
-    try:
-        if 8 * len(lengths) * d > _physical_memory():  # an overcommitted allocation may not fail
-            raise MemoryError
-        features = np.zeros((len(lengths), d), dtype=np.float64)
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
-        raise DataFormatError(f"{path}: a dense {len(lengths)} x {d} float64 matrix does not"
-                              " fit in memory") from None
+    features = _zeros(len(lengths), d, path)
     rows = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
     features[rows, np.frombuffer(cols, dtype=np.int64) - 1] = np.frombuffer(vals, dtype=np.float64)
     labels, class_names = _index_labels(raw_labels)
@@ -333,6 +350,13 @@ def _fit_model(model: ModelConfig, spec: CriterionSpec, X, y, n_classes: int, se
 def _model_predictions(fitted, X) -> tuple[np.ndarray, np.ndarray]:
     """Predicted classes and class distributions of a tree or a forest."""
     return (predict_batch if isinstance(fitted, Tree) else predict_forest_batch)(fitted, X)
+
+
+def _model_columns(fitted) -> int:
+    """The fewest feature columns a tree or a forest can route: one past
+    the highest feature that any of its splits reads."""
+    trees = [fitted] if isinstance(fitted, Tree) else fitted.trees
+    return max((tree.min_columns for tree in trees), default=0)
 
 
 def _model_stats(fitted) -> dict:

@@ -689,7 +689,9 @@ def tree_from_dict(data: dict) -> Tree:
     fields = tuple(zip(*splits)) or ((),) * 4
     flat = list(chain.from_iterable(leaves))  # K entries per leaf
     feature, left, right = np.full((3, n), -1)
-    threshold, counts = np.zeros(n), np.zeros((n, k), dtype=np.int64)
+    # the leaves' counts only: the nodes x K array waits for every check, so a huge K
+    # allocates no more than the K-entry lists already read from the file
+    threshold, leaf_counts = np.zeros(n), np.zeros((len(leaves), k), dtype=np.int64)
     # each field's JSON type, then its range, one column at a time; a message is built
     # only on failure. A threshold may be an integer, or null, which reads as nan and
     # fails as not finite.
@@ -699,7 +701,7 @@ def tree_from_dict(data: dict) -> Tree:
             ("feature", fields[0], {int}, feature, split),
             ("threshold", fields[1], number, threshold, split),
             ("left", fields[2], {int}, left, split), ("right", fields[3], {int}, right, split),
-            ("a count", flat, {int}, counts, ~split)):
+            ("a count", flat, {int}, leaf_counts, ...)):
         if not kinds.issuperset(map(type, column)):
             i = next(i for i, value in enumerate(column) if type(value) not in kinds)
             raise _wrong_json(column[i], float if kinds is number else int,
@@ -722,9 +724,12 @@ def tree_from_dict(data: dict) -> Tree:
     if bad.size:
         raise ValueError(f"node {bad[0]}: the child of {parents[bad[0]]} splits, where every"
                          " node but the root must be the child of exactly one")
-    bad = np.flatnonzero(~split & ((counts < 0).any(axis=1) | (counts.sum(axis=1) <= 0)))
+    bad = np.flatnonzero((leaf_counts < 0).any(axis=1) | (leaf_counts.sum(axis=1) <= 0))
     if bad.size:
-        raise ValueError(f"node {bad[0]}: leaf counts must be nonnegative with a positive total")
+        raise ValueError(f"node {np.flatnonzero(~split)[bad[0]]}: leaf counts must be"
+                         " nonnegative with a positive total")
+    counts = np.zeros((n, k), dtype=np.int64)
+    counts[~split] = leaf_counts
     return Tree(spec, k, feature, threshold, left, right, counts)
 
 

@@ -1,17 +1,21 @@
 """Command-line interface: flags, exit codes, JSON status lines, file outputs."""
 
+import csv
+import io
 import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robust_trees
 from robust_trees import dataeng, verify
 from robust_trees.cli import entrypoint, main
 from robust_trees.tree import load_tree, predict_batch
@@ -23,6 +27,14 @@ def blob_csv(tmp_path):
     X, y = gaussian_blobs(80, [[-3, 0], [3, 0]], scale=0.6, seed=1)
     path = tmp_path / "blobs.csv"
     write_csv(path, X, y, class_names=["neg", "pos"])
+    return path
+
+
+@pytest.fixture()
+def three_class_csv(tmp_path):
+    X, y = gaussian_blobs(40, [[-3, 0], [3, 0], [0, 3]], scale=0.6, seed=2)
+    path = tmp_path / "three.csv"
+    write_csv(path, X, y)
     return path
 
 
@@ -184,6 +196,50 @@ class TestPredict:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: the model splits on feature 1")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("forest", [False, True], ids=["tree", "forest"])
+    def test_libsvm_narrower_than_the_model_reads_as_zeros(self, tmp_path, capsys, forest):
+        # the model splits on index 5 (feature 4) alone; LIBSVM leaves zero
+        # entries out, so a file whose largest index is 3 holds 0 there
+        train = tmp_path / "train.libsvm"
+        train.write_text("a 1:0.5 5:1\na 2:0.3 5:2\nb 1:0.2\nb 3:0.7\n")
+        model = tmp_path / "model.json"
+        main(["train", "--data", str(train), "--format", "libsvm", "--criterion", "gini",
+              "--out", str(model),
+              *(["--forest", "--trees", "2", "--no-bootstrap", "--feature-subsample", "5"]
+                if forest else [])])
+        capsys.readouterr()
+        data, out = tmp_path / "narrow.libsvm", tmp_path / "preds.csv"
+        data.write_text("a 1:0.5 3:2\nb 2:0.1\n")
+        code, status = run_cli(capsys, "predict", "--model", str(model), "--data", str(data),
+                               "--format", "libsvm", "--out", str(out))
+        assert code == 0 and status["n"] == 2 and status["accuracy"] == 0.5
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["1", "1"]
+
+    def test_libsvm_padding_past_memory_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+            {"kind": "split", "feature": 2**62, "threshold": 0.0, "left": 1, "right": 2},
+            {"kind": "leaf", "counts": [1, 0]}, {"kind": "leaf", "counts": [0, 1]}]}))
+        data = tmp_path / "narrow.libsvm"
+        data.write_text("a 1:0.5\n")
+        code = main(["predict", "--model", str(model), "--data", str(data), "--format", "libsvm"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: {data}: a dense 1 x {2**62 + 1} float64 matrix"
+                                " does not fit in memory\n")
+
+    def test_huge_class_count_fails_its_checks_before_any_allocation(self, tmp_path, blob_csv,
+                                                                     capsys):
+        # a nodes x K count array would take 728 TiB
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 10**14, "nodes": [
+            {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}]}))
+        code = main(["predict", "--model", str(model), "--data", str(blob_csv), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: node 0: a split needs feature >= 0")
         assert captured.err.count("\n") == 1
 
     def test_model_missing_key_exits_1(self, model, blob_csv, capsys):
@@ -385,6 +441,37 @@ class TestNoiseCommand:
         assert np.allclose(np.asarray(rows, dtype=float), [[0.7, 0.3], [0.3, 0.7]])
         assert len(noisy.read_text().strip().split("\n")) == 161
 
+    def test_binary_cc_flips_each_class_at_its_rate(self, blob_csv, tmp_path, capsys):
+        matrix = tmp_path / "matrix.csv"
+        code, status = run_cli(
+            capsys, "noise", "--data", str(blob_csv), "--format", "csv", "--kind", "binary_cc",
+            "--rho-pos", "0.1", "--rho-neg", "0.3", "--matrix-out", str(matrix),
+        )
+        assert code == 0 and status["kind"] == "binary_cc"
+        assert status["diagonally_dominant"] is True
+        rows = [line.split(",") for line in matrix.read_text().strip().split("\n")]
+        assert np.allclose(np.asarray(rows, dtype=float), [[0.9, 0.1], [0.3, 0.7]])
+
+    def test_binary_cc_on_three_classes_exits_1(self, three_class_csv, capsys):
+        code = main(["noise", "--data", str(three_class_csv), "--format", "csv",
+                     "--kind", "binary_cc", "--rho-pos", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: binary_cc noise needs a binary problem\n"
+
+    def test_mahalanobis_on_three_classes(self, three_class_csv, tmp_path, capsys):
+        matrix, noisy = tmp_path / "matrix.csv", tmp_path / "noisy.csv"
+        code, status = run_cli(
+            capsys, "noise", "--data", str(three_class_csv), "--format", "csv",
+            "--kind", "mahalanobis", "--seed", "3", "--matrix-out", str(matrix),
+            "--out", str(noisy),
+        )
+        assert code == 0 and status["kind"] == "mahalanobis"
+        P = np.loadtxt(matrix, delimiter=",")
+        assert P.shape == (3, 3) and np.allclose(P.sum(axis=1), 1.0)
+        assert 0.0 < status["flip_fraction"] < 1.0
+        assert len(noisy.read_text().strip().split("\n")) == 121
+
 
 class TestTune:
     def test_reports_best_lambda(self, blob_csv, capsys):
@@ -405,6 +492,15 @@ class TestTune:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == "" and fits == []
         assert captured.err.endswith("error: tuning grid: ne lambda must be in [0, 1], got 2.0\n")
+
+    def test_grid_token_that_is_not_a_number_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                  "--grid", "0.5,abc"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            "error: --grid must be comma-separated numbers, got '0.5,abc'\n")
 
     def test_bad_validation_fraction_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +541,18 @@ class TestBench:
         summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
         assert summary[0] == "dataset,criterion,noise,replications,mean_accuracy,two_sd"
         assert len(summary) == 5  # header + 4 cells
+
+    @pytest.mark.parametrize("data, noise, label", [
+        ("blob_csv", {"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3}, "binary_cc(0.1,0.3)"),
+        ("three_class_csv", {"kind": "mahalanobis"}, "mahalanobis"),
+    ], ids=["binary_cc", "mahalanobis"])
+    def test_noise_column_names_the_kind(self, request, tmp_path, capsys, data, noise, label):
+        config = _bench_config(tmp_path, request.getfixturevalue(data), reps=1, noise=[noise])
+        out = tmp_path / "results.csv"
+        code, status = run_cli(capsys, "bench", "--config", str(config), "--out", str(out))
+        assert code == 0 and status["records"] == 2
+        rows = csv.DictReader(out.read_text().splitlines())
+        assert [row["noise"] for row in rows] == [label, label]
 
     def test_byte_identical_across_runs(self, blob_csv, tmp_path, capsys):
         config = _bench_config(tmp_path, blob_csv)
@@ -550,7 +658,8 @@ class TestBench:
 
 class TestEntryPoints:
     def test_module_runs_as_a_script(self):
-        src = Path(__file__).resolve().parents[1] / "src"
+        # the script runs the package these tests import
+        src = Path(robust_trees.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-m", "robust_trees", "verify", "--suite", "noise"],
                               env=env, capture_output=True, text=True, timeout=120)
@@ -571,9 +680,26 @@ class TestEntryPoints:
 
 
 class TestVerify:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Each suite's (exit code, stdout, stderr) at --seed 0, run once for the class."""
+        done = {}
+
+        def run(suite):
+            if suite not in done:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["verify", "--suite", suite, "--seed", "0"])
+                done[suite] = code, out.getvalue(), err.getvalue()
+            return done[suite]
+        return run
+
     @pytest.mark.parametrize("suite", ["impurity", "early-stop", "noise"])
-    def test_suites_pass(self, suite, capsys):
-        code, status = run_cli(capsys, "verify", "--suite", suite, "--seed", "0")
+    def test_suites_pass(self, suite, runs):
+        code, out, _ = runs(suite)
+        lines = out.splitlines()
+        assert len(lines) == 1, f"expected exactly one stdout line, got {out!r}"
+        status = json.loads(lines[0])
         assert code == 0
         assert status["failures"] == 0
         assert status["checks"] > 0
@@ -602,8 +728,7 @@ class TestVerify:
                 code, status, err = run_cli_full(capsys, "verify", "--suite", suite)
             assert code == 1 and status["failures"] >= 1 and "FAIL" in err, suite
 
-    def test_table_goes_to_stderr(self, capsys):
-        main(["verify", "--suite", "impurity", "--seed", "1"])
-        captured = capsys.readouterr()
-        assert "PASS" in captured.err
-        assert "PASS" not in captured.out
+    def test_table_goes_to_stderr(self, runs):
+        _, out, err = runs("impurity")
+        assert "PASS" in err
+        assert "PASS" not in out

@@ -482,12 +482,17 @@ class TestEvaluate:
 
 class TestExperimentConfig:
     def test_shipped_configs_parse(self):
-        # parsing reads no data file, so every recipe is checked here
-        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        # parsing reads no data file, so every recipe is checked here, and
+        # each names its dataset in data/, where data/README.md describes it
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted((root / "configs").glob("*.json"))
         assert len(paths) >= 3
         for path in paths:
             config = ExperimentConfig.from_json(path)
             assert config.criteria and config.noise, path.name
+            dataset = Path(config.dataset_path).resolve()
+            assert dataset.parent == root / "data", path.name
+            assert dataset.name in (root / "data" / "README.md").read_text(), path.name
 
     def test_header_must_be_true_or_false(self):
         with pytest.raises(ValueError, match="header must be true or false, got str"):

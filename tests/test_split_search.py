@@ -134,6 +134,24 @@ def test_keys_widen_when_32_bits_cannot_hold_them():
     assert (bins.keys % k == y[:, None]).all()
 
 
+def test_search_keys_widen_when_the_nodes_bins_pass_32_bits():
+    # 2**16 distinct values at K = 3 keep the fit's keys 32-bit, but 11,000
+    # nodes searched together number 11,000 x 2**16 x 3 >= 2**31 search keys
+    n, k = 2**16, 3
+    rng = np.random.default_rng(0)
+    X = rng.permutation(n).astype(np.float64)[:, None]
+    y = rng.integers(0, k, n)
+    bins = tree._bin_columns(X, y, k)
+    assert bins.keys.dtype == np.int32
+    sizes = rng.integers(2, 6, 11_000)
+    idx = np.split(rng.permutation(n)[:sizes.sum()], np.cumsum(sizes)[:-1])
+    assert len(idx) * n * k >= 2**31
+    counts = np.array([np.bincount(y[i], minlength=k) for i in idx])
+    spec = CriterionSpec("entropy")
+    found = _answers(tree._best_splits(spec, bins, np.concatenate(idx), sizes, counts, n, 1))
+    assert found == [loop_search(spec, X, y, i, None, c, n, 1) for i, c in zip(idx, counts)]
+
+
 BIN_POOL = np.array([-1.7e308, -1.0, -0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, 2.5, 1e308])
 
 
