@@ -21,7 +21,7 @@ import numpy as np
 from . import dataeng, forest as forest_mod, noise as noise_mod, tree as tree_mod
 from .criteria import KINDS, CriterionSpec
 from .dataeng import DEFAULT_LAMBDA_GRID, DEFAULT_VALIDATION_FRACTION, Dataset, ModelConfig
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 
 def _status(payload: dict) -> None:
@@ -168,13 +168,13 @@ def cmd_predict(parser, args) -> int:
         X = dataeng.load_csv_features(args.data, header=not args.no_header)
         y = None
     else:
-        ds = _load_dataset(args)
+        # a LIBSVM file leaves its zeros out, so it is read at the model's width
+        ds = (dataeng.load_libsvm(args.data, model.min_columns) if args.format == "libsvm"
+              else _load_dataset(args))
         if ds.n_classes > model.n_classes:
             raise ValueError(f"the data has {ds.n_classes} classes, more than the"
                              f" model's {model.n_classes}")
         X, y = ds.features, ds.labels
-    if args.format == "libsvm":
-        X = dataeng._pad_libsvm(X, dataeng._model_columns(model), args.data)
     classes, dists = dataeng._model_predictions(model, X)
     if args.out:
         dataeng.write_csv(args.out, ["prediction"] + [f"p{k}" for k in range(dists.shape[1])],
@@ -190,11 +190,9 @@ def cmd_predict(parser, args) -> int:
 
 
 def cmd_noise(parser, args) -> int:
+    spec = _from_flags(parser, noise_mod.NoiseSpec, kind=args.kind, eta=args.eta,
+                       rho_pos=args.rho_pos, rho_neg=args.rho_neg, ridge=args.ridge)
     ds = _load_dataset(args)
-    spec = noise_mod.NoiseSpec(
-        kind=args.kind, eta=args.eta, rho_pos=args.rho_pos,
-        rho_neg=args.rho_neg, ridge=args.ridge,
-    )
     matrix = spec.transition(ds.n_classes, features=ds.features, labels=ds.labels)
     noisy = noise_mod.corrupt(ds.labels, matrix, args.seed)
     if args.matrix_out:
@@ -235,10 +233,12 @@ def cmd_tune(parser, args) -> int:
 
 
 def cmd_bench(parser, args) -> int:
+    summary_path = args.summary or str(Path(args.out).parent / "summary.csv")
+    if Path(summary_path).resolve() == Path(args.out).resolve():
+        parser.error(f"the summary path {summary_path} is the results path --out")
     config = dataeng.ExperimentConfig.from_json(args.config)
     records = dataeng.evaluate(config)
     dataeng.write_records_csv(records, args.out, timings=args.timings)
-    summary_path = args.summary or str(Path(args.out).parent / "summary.csv")
     dataeng.write_summary_csv(dataeng.aggregate(records), summary_path)
     _status({
         "command": "bench", "records": len(records),
@@ -248,7 +248,7 @@ def cmd_bench(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    checks = run_suite(args.suite, seed=args.seed)
+    checks = SUITES[args.suite](seed=args.seed)
     failures = [c for c in checks if not c.passed]
     width = max(len(c.name) for c in checks)
     for c in checks:

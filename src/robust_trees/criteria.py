@@ -52,7 +52,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import EmptyHistogramError, PartitionError, _check_type, _read
+from .errors import EmptyHistogramError, PartitionError, _check_type, _labels, _read
 
 KINDS = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 
@@ -163,8 +163,9 @@ class ClassHistogram:
 
     @staticmethod
     def from_labels(labels, n_classes: int) -> "ClassHistogram":
-        labels = np.asarray(labels, dtype=np.int64)
-        return ClassHistogram(np.bincount(labels, minlength=n_classes))
+        """The counts of ``labels``, whole numbers in [0, n_classes)."""
+        return ClassHistogram(np.bincount(_labels(labels, n_classes, "n_classes"),
+                                          minlength=n_classes))
 
     @property
     def n_classes(self) -> int:
@@ -409,8 +410,7 @@ class CdfSpec:
         if self.kind not in CDF_KINDS:
             raise ValueError(f"unknown cdf kind: {self.kind!r}")
         if self.kind == "shifted_negexp":
-            if self.mu is None or self.mu < 0.0:
-                raise ValueError("shifted_negexp requires mu >= 0")
+            _check_mu(self.mu)
         elif self.mu is not None:
             raise ValueError(f"cdf {self.kind!r} takes no mu parameter")
 
@@ -433,16 +433,23 @@ def distribution_loss(cdf: CdfSpec, margin: float) -> float:
     raise ValueError(f"unknown cdf kind: {cdf.kind!r}")
 
 
+def _check_mu(mu) -> None:
+    """``ValueError`` naming mu unless it is a finite real number >= 0."""
+    _check_type("mu", mu, Real)
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"mu must be a finite number >= 0, got {mu}")
+
+
 def lambda_from_mu(mu: float) -> float:
     """Robustness parameter lambda = 2 e^{-mu}; mu >= ln 2 gives lambda <= 1."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    _check_mu(mu)
     return 2.0 * math.exp(-mu)
 
 
 def mu_from_lambda(lam: float) -> float:
     """Inverse map mu = ln(2 / lambda) for lambda in (0, 1]."""
-    if lam <= 0.0:
+    _check_type("lambda", lam, Real)
+    if not lam > 0.0:  # NaN fails it too
         raise ValueError(f"lambda must be > 0, got {lam}")
     if lam > 1.0:
         raise ValueError(f"lambda must be <= 1, got {lam}")

@@ -17,7 +17,7 @@ import threading
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
@@ -30,10 +30,6 @@ from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch
 from .noise import NoiseSpec, corrupt
 from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
 
-RESULTS_HEADER = [
-    "dataset", "criterion", "params", "noise", "seed",
-    "accuracy", "nodes", "leaves", "depth", "seconds",
-]
 SUMMARY_HEADER = [
     "dataset", "criterion", "noise", "replications", "mean_accuracy", "two_sd",
 ]
@@ -49,11 +45,9 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        X, y = _labelled(self.features, self.labels)
+        X, y = _labelled(self.features, self.labels, len(self.class_names), "class_names")
         if not np.isfinite(X).all():
             raise ValueError("features contain non-finite values")
-        if y.size and (y.min() < 0 or y.max() >= len(self.class_names)):
-            raise ValueError("labels out of range of class_names")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -201,24 +195,16 @@ def _zeros(n: int, d: int, path) -> np.ndarray:
                               " fit in memory") from None
 
 
-def _pad_libsvm(X: np.ndarray, d: int, path) -> np.ndarray:
-    """The features of a LIBSVM file with zero columns appended up to ``d``
-    columns: the file leaves its zero entries out, so a row read from it
-    may end before a feature that a model splits on."""
-    if X.shape[1] >= d:
-        return X
-    wide = _zeros(X.shape[0], d, path)
-    wide[:, :X.shape[1]] = X
-    return wide
-
-
-def load_libsvm(path, n_features: int | None = None) -> Dataset:
+def load_libsvm(path, n_features: int = 0) -> Dataset:
     """Load a sparse LIBSVM text file into a dense dataset.
 
     Lines are ``label index:value ...`` with 1-based, strictly ascending
-    indices; absent indices become 0.0.  The nonzero values stream into
-    typed buffers (8 bytes per index and per value) until the dense matrix
-    is filled in one assignment; one that does not fit in memory fails.
+    indices; absent indices become 0.0.  The matrix has the largest index's
+    columns, or ``n_features`` if that is more: the file leaves its zero
+    entries out, so its rows may end before a feature that a model splits
+    on.  The nonzero values stream into typed buffers (8 bytes per index and
+    per value) until the dense matrix is filled in one assignment; one that
+    does not fit in memory fails.
     """
     raw_labels: list[str] = []
     lengths, cols, vals = array("q"), array("q"), array("d")
@@ -261,10 +247,7 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
                 pass
     if not raw_labels:
         raise DataFormatError(f"{path}: empty file")
-    d = max_index if n_features is None else int(n_features)
-    if d < max_index:
-        raise DataFormatError(f"{path}: feature index {max_index} exceeds n_features={d}")
-    features = _zeros(len(lengths), d, path)
+    features = _zeros(len(lengths), max(max_index, n_features), path)
     rows = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
     features[rows, np.frombuffer(cols, dtype=np.int64) - 1] = np.frombuffer(vals, dtype=np.float64)
     labels, class_names = _index_labels(raw_labels)
@@ -350,13 +333,6 @@ def _fit_model(model: ModelConfig, spec: CriterionSpec, X, y, n_classes: int, se
 def _model_predictions(fitted, X) -> tuple[np.ndarray, np.ndarray]:
     """Predicted classes and class distributions of a tree or a forest."""
     return (predict_batch if isinstance(fitted, Tree) else predict_forest_batch)(fitted, X)
-
-
-def _model_columns(fitted) -> int:
-    """The fewest feature columns a tree or a forest can route: one past
-    the highest feature that any of its splits reads."""
-    trees = [fitted] if isinstance(fitted, Tree) else fitted.trees
-    return max((tree.min_columns for tree in trees), default=0)
 
 
 def _model_stats(fitted) -> dict:
@@ -529,11 +505,11 @@ class ResultRecord:
     seconds: float
 
     def row(self) -> list:
-        return [
-            self.dataset, self.criterion, self.params, self.noise, self.seed,
-            repr(self.accuracy), self.nodes, self.leaves, self.depth,
-            f"{self.seconds:.3f}",
-        ]
+        """The CSV row: the fields in order, the seconds to the millisecond."""
+        return [*astuple(self)[:-1], f"{self.seconds:.3f}"]
+
+
+RESULTS_HEADER = [f.name for f in fields(ResultRecord)]
 
 
 @dataclass(frozen=True)
@@ -712,8 +688,4 @@ def write_records_csv(records: list[ResultRecord], path, timings: bool = False) 
 
 
 def write_summary_csv(summary: list[dict], path) -> None:
-    write_csv(path, SUMMARY_HEADER, (
-        [cell["dataset"], cell["criterion"], cell["noise"], cell["replications"],
-         repr(cell["mean_accuracy"]), repr(cell["two_sd"])]
-        for cell in summary
-    ))
+    write_csv(path, SUMMARY_HEADER, ([cell[key] for key in SUMMARY_HEADER] for cell in summary))

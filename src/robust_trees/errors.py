@@ -1,6 +1,7 @@
 """Exception types and the input checks shared across the package: every
 JSON object read from outside (a model, a config or one of its sections)
-goes through :func:`_read`, which checks its keys and renames them."""
+goes through :func:`_read`, which checks its keys and renames them, and
+every vector of class labels through :func:`_labels`."""
 
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
@@ -42,11 +43,34 @@ def _json(value, kind: type, what: str):
     return value
 
 
-def _labelled(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``features`` as a float64 n x d matrix and ``labels`` as an int64
-    vector with one entry per row, else ``ValueError``."""
+def _labels(labels, k: int | None = None, what: str = "K") -> np.ndarray:
+    """The one label rule: ``labels`` as int64 whole numbers in [0, k) (in
+    int64's range without ``k``), else ``ValueError`` naming ``what``, the
+    source of K.  Integer input is cast once, and not copied if int64; other
+    input must be finite whole numbers as float64, so 0.5 is no class 0."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biu":
+        y = y.astype(np.float64)
+        fraction = ~np.isfinite(y) | (y != np.floor(y))
+        if fraction.any():
+            raise ValueError(f"labels must be whole numbers, got {y[fraction][0].item()}")
+    if y.size:
+        low, high = y.min().item(), y.max().item()
+        if low < 0:
+            raise ValueError(f"labels must be nonnegative class indices, got {low}")
+        if k is None:
+            k, what = 2**63, "int64"
+        if high >= k:
+            raise ValueError(f"labels out of range for {what}: {high} is not below {k}")
+    return y.astype(np.int64, copy=False)
+
+
+def _labelled(features, labels, k: int | None = None,
+              what: str = "K") -> tuple[np.ndarray, np.ndarray]:
+    """``features`` as a float64 n x d matrix and ``labels`` as one label per
+    row by :func:`_labels`, else ``ValueError``."""
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = _labels(labels, k, what)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("features must be n x d with one label per row")
     return X, y

@@ -24,7 +24,7 @@ import numpy as np
 from .criteria import CriterionSpec
 from .errors import _check_type, _json, _read
 from .tree import (Tree, TreeParams, _class_count, _fit_inputs, _fit_trees, _leaf_of, _row,
-                   predict_batch, tree_from_dict, tree_stats, tree_to_dict)
+                   _too_few_columns, predict_batch, tree_from_dict, tree_stats, tree_to_dict)
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,16 @@ class ForestParams:
 
 @dataclass
 class Forest:
+    """Fitted trees; ``min_columns``, the widest of their ``min_columns``, is
+    derived on construction, as a :class:`Tree` derives its own."""
+
     params: ForestParams
     n_classes: int
     trees: list[Tree] = field(default_factory=list)
+    min_columns: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.min_columns = max((tree.min_columns for tree in self.trees), default=0)
 
 
 def fit_forest(features, labels, params: ForestParams, n_classes: int | None = None) -> Forest:
@@ -82,7 +89,7 @@ def predict_forest(forest: Forest, x) -> tuple[int, np.ndarray]:
     trees = forest.trees
     if not trees:
         raise ValueError("cannot predict with an empty forest")
-    row = _row(x, max(tree.min_columns for tree in trees))
+    row = _row(x, forest.min_columns)
     acc = [0.0] * forest.n_classes
     for tree in trees:
         for c, p in enumerate(tree.distribution[_leaf_of(tree._walk, row)].tolist()):
@@ -95,6 +102,8 @@ def predict_forest_batch(forest: Forest, features) -> tuple[np.ndarray, np.ndarr
     if not forest.trees:
         raise ValueError("cannot predict with an empty forest")
     X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < forest.min_columns:
+        raise _too_few_columns(forest.min_columns, X.shape)
     acc = np.zeros((X.shape[0], forest.n_classes), dtype=np.float64)
     for tree in forest.trees:
         acc += predict_batch(tree, X)[1]

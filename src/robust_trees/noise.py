@@ -20,10 +20,13 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import _check_type, _from_json, _labelled
+from .errors import _check_type, _from_json, _labelled, _labels
 
 _ROW_SUM_TOL = 1e-9
-KINDS = ("uniform", "binary_cc", "mahalanobis")
+# each noise kind -> the NoiseSpec parameters it takes
+_KIND_PARAMS = {"uniform": ("eta",), "binary_cc": ("rho_pos", "rho_neg"),
+                "mahalanobis": ("ridge",)}
+KINDS = tuple(_KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,6 @@ class TransitionMatrix:
                 fh.write(",".join(repr(float(v)) for v in row))
                 fh.write("\n")
 
-    @staticmethod
-    def from_csv(path) -> "TransitionMatrix":
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
-        return TransitionMatrix(np.asarray(rows, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -76,7 +69,8 @@ class NoiseSpec:
     kind ``uniform`` uses ``eta``; ``binary_cc`` uses ``rho_pos``/``rho_neg``
     (flip rates for class 0 and class 1); ``mahalanobis`` builds the
     class-similarity matrix from the training features with ``ridge``
-    regularization (None = automatic scaling).
+    regularization (None = automatic scaling).  A parameter that the kind
+    does not take must keep its default.
     """
 
     kind: str
@@ -89,7 +83,10 @@ class NoiseSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
         for name in ("eta", "rho_pos", "rho_neg", "ridge"):
-            _check_type(f"noise {name}", getattr(self, name), Real, optional=name == "ridge")
+            value = getattr(self, name)
+            _check_type(f"noise {name}", value, Real, optional=name == "ridge")
+            if value != getattr(NoiseSpec, name) and name not in _KIND_PARAMS[self.kind]:
+                raise ValueError(f"noise {self.kind!r} takes no {name} parameter")
 
     def label(self) -> str:
         if self.kind == "uniform":
@@ -111,13 +108,9 @@ class NoiseSpec:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        if self.kind == "uniform":
-            d["eta"] = self.eta
-        elif self.kind == "binary_cc":
-            d["rho_pos"] = self.rho_pos
-            d["rho_neg"] = self.rho_neg
-        elif self.ridge is not None:
-            d["ridge"] = self.ridge
+        for name in _KIND_PARAMS[self.kind]:
+            if getattr(self, name) is not None:
+                d[name] = getattr(self, name)
         return d
 
     @staticmethod
@@ -193,8 +186,11 @@ def mahalanobis_matrix(features, labels, ridge: float | None = None) -> Transiti
     rest and is rescaled affinely so the diagonals span [0.5, 0.9] (the
     class nearest to the others keeps its labels least often).  Each row's
     off-diagonal mass, 1 - diagonal, is then distributed proportionally to
-    the similarities, which keeps rows summing to one.
+    the similarities, which keeps rows summing to one.  ``ridge``, if given,
+    must be a finite number >= 0.
     """
+    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     X, y = _labelled(features, labels)
     k = int(y.max()) + 1
     if k < 3:
@@ -223,10 +219,8 @@ def mahalanobis_matrix(features, labels, ridge: float | None = None) -> Transiti
 
 def corrupt(labels, matrix: TransitionMatrix, rng_seed) -> np.ndarray:
     """Resample each label from its transition row; deterministic given the seed."""
-    y = np.asarray(labels, dtype=np.int64)
     k = matrix.n_classes
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise ValueError("labels out of range for the transition matrix")
+    y = _labels(labels, k, "the transition matrix")
     rng = np.random.default_rng(rng_seed)
     u = rng.random(y.shape[0])
     cdf = np.cumsum(matrix.eta, axis=1)

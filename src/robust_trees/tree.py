@@ -337,21 +337,14 @@ def _class_count(k: int, what: str = "K") -> int:
 def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     """A fit's checked inputs: finite float64 features, int64 labels and the
     class count K, ``n_classes`` if given, else max(2, max(labels) + 1)."""
-    X, y = _labelled(features, labels)
+    k = None if n_classes is None else _class_count(int(n_classes), "n_classes")
+    X, y = _labelled(features, labels, k, "n_classes")
     X = np.ascontiguousarray(X)
     if X.shape[0] == 0:
         raise ValueError("features must be nonempty")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
-    if y.min() < 0:
-        raise ValueError("labels must be nonnegative class indices")
-    if n_classes is None:
-        k = max(2, int(y.max()) + 1)
-    else:
-        k = _class_count(int(n_classes), "n_classes")
-    if y.max() >= k:
-        raise ValueError("labels out of range for n_classes")
-    return X, y, k
+    return X, y, max(2, int(y.max()) + 1) if k is None else k
 
 
 # Nodes with fewer rows than this are searched together: in a fit that draws no

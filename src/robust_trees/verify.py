@@ -208,9 +208,3 @@ def noise_suite(seed: int = 0) -> list[CheckResult]:
 
 SUITES = {"impurity": impurity_suite, "early-stop": early_stop_suite,
           "hoeffding": hoeffding_suite, "noise": noise_suite}
-
-
-def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
-    return SUITES[suite](seed)

@@ -217,6 +217,21 @@ class TestPredict:
         assert code == 0 and status["n"] == 2 and status["accuracy"] == 0.5
         assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["1", "1"]
 
+    def test_libsvm_is_read_at_the_model_width_in_one_allocation(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
+            {"kind": "split", "feature": 4, "threshold": 0.5, "left": 1, "right": 2},
+            {"kind": "leaf", "counts": [1, 0]}, {"kind": "leaf", "counts": [0, 1]}]}))
+        data = tmp_path / "narrow.libsvm"
+        data.write_text("a 1:0.5\nb 2:1\n")
+        shapes, zeros = [], dataeng._zeros
+        monkeypatch.setattr(dataeng, "_zeros", lambda n, d, path: shapes.append((n, d))
+                            or zeros(n, d, path))
+        code, status = run_cli(capsys, "predict", "--model", str(model), "--data", str(data),
+                               "--format", "libsvm")
+        assert code == 0 and status["n"] == 2 and shapes == [(2, 5)]
+
     def test_libsvm_padding_past_memory_exits_1(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
@@ -459,6 +474,14 @@ class TestNoiseCommand:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: binary_cc noise needs a binary problem\n"
 
+    def test_a_parameter_the_kind_does_not_take_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # the data file does not exist: it is never read
+            main(["noise", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                  "--kind", "uniform", "--eta", "0.3", "--rho-pos", "0.2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: noise 'uniform' takes no rho_pos parameter\n")
+
     def test_mahalanobis_on_three_classes(self, three_class_csv, tmp_path, capsys):
         matrix, noisy = tmp_path / "matrix.csv", tmp_path / "noisy.csv"
         code, status = run_cli(
@@ -553,6 +576,22 @@ class TestBench:
         assert code == 0 and status["records"] == 2
         rows = csv.DictReader(out.read_text().splitlines())
         assert [row["noise"] for row in rows] == [label, label]
+
+    @pytest.mark.parametrize("out, summary", [("summary.csv", None), ("r.csv", "./r.csv")],
+                             ids=["default-summary", "same-path"])
+    def test_summary_at_the_results_path_exits_2_before_any_cell(
+            self, blob_csv, tmp_path, capsys, monkeypatch, out, summary):
+        config, cells = _bench_config(tmp_path, blob_csv), []
+        monkeypatch.setattr(dataeng, "_run_cell", lambda *args: cells.append(args))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(config), "--out", out,
+                  *(["--summary", summary] if summary else [])])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and cells == []
+        assert captured.err.endswith(f"error: the summary path {summary or out} is the"
+                                     f" results path --out\n")
+        assert not (tmp_path / out).exists()
 
     def test_byte_identical_across_runs(self, blob_csv, tmp_path, capsys):
         config = _bench_config(tmp_path, blob_csv)
@@ -694,7 +733,7 @@ class TestVerify:
             return done[suite]
         return run
 
-    @pytest.mark.parametrize("suite", ["impurity", "early-stop", "noise"])
+    @pytest.mark.parametrize("suite", ["impurity", "early-stop", "hoeffding", "noise"])
     def test_suites_pass(self, suite, runs):
         code, out, _ = runs(suite)
         lines = out.splitlines()

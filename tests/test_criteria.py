@@ -326,6 +326,25 @@ class TestLambdaMuMap:
         with pytest.raises(ValueError):
             lambda_from_mu(-0.1)
 
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "must be a finite number >= 0, got nan"),
+        (math.inf, "must be a finite number >= 0, got inf"),
+        ("1", "must be a real number, got str"),
+        (None, "must be a real number, got NoneType"),
+    ], ids=["nan", "inf", "string", "none"])
+    def test_mu_must_be_a_finite_real(self, value, message):
+        with pytest.raises(ValueError, match=f"^mu {message}$"):
+            lambda_from_mu(value)
+        with pytest.raises(ValueError, match=f"^mu {message}$"):
+            CdfSpec("shifted_negexp", mu=value)
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "must be > 0, got nan"), ("1", "must be a real number, got str")],
+        ids=["nan", "string"])
+    def test_lambda_must_be_a_finite_real(self, value, message):
+        with pytest.raises(ValueError, match=f"^lambda {message}$"):
+            mu_from_lambda(value)
+
 
 # ---------------------------------------------------------------------------
 # Class-major scoring against the class-last formulas, bit for bit.

@@ -157,6 +157,12 @@ class TestLoadLibsvm:
         path.write_text("1 2:1\n2 5:3\n")
         assert load_libsvm(path).n_features == 5
 
+    def test_n_features_is_a_minimum_width(self, tmp_path):
+        path = tmp_path / "narrow.libsvm"
+        path.write_text("1 2:1\n2 5:3\n")
+        assert [load_libsvm(path, d).n_features for d in (0, 3, 5, 7)] == [5, 5, 5, 7]
+        assert load_libsvm(path, 7).features[1].tolist() == [0, 0, 0, 0, 3, 0, 0]
+
     def test_label_only_line(self, tmp_path):
         path = tmp_path / "bare.libsvm"
         path.write_text("1 1:1\n2\n")
@@ -194,9 +200,9 @@ class TestLoadLibsvm:
         with pytest.raises(DataFormatError, match=":2: malformed feature token '1:x'"):
             load_libsvm(path)  # a later line's error still comes first
         path.write_text("1 99999999999999999999:1\n2 1:1\n")
-        with pytest.raises(DataFormatError, match="exceeds n_features=3"):
-            load_libsvm(path, n_features=3)
         too_wide = ": a dense 2 x 99999999999999999999 float64 matrix does not fit in memory$"
+        with pytest.raises(DataFormatError, match=too_wide):
+            load_libsvm(path, n_features=3)  # a minimum width: the largest index still wins
         with pytest.raises(DataFormatError, match=too_wide):
             load_libsvm(path)
         # where physical memory is unknown, numpy's "Maximum allowed dimension

@@ -40,6 +40,14 @@ def _leaf_tree(counts):
     )
 
 
+def _stump(feature):
+    return tree_from_dict(
+        {"criterion": {"kind": "gini"}, "K": 2,
+         "nodes": [{"kind": "split", "feature": feature, "threshold": 0.0, "left": 1, "right": 2},
+                   {"kind": "leaf", "counts": [1, 0]}, {"kind": "leaf", "counts": [0, 1]}]}
+    )
+
+
 class TestFitForest:
     def test_forest_of_one_equals_tree(self):
         X, y = _blobs()
@@ -143,6 +151,19 @@ class TestPredictForest:
                                                n_trees=3, rng_seed=8))
         with pytest.raises(ValueError, match="needs an n x d input"):
             predict_forest(forest, X[0, :1])
+
+    def test_too_few_columns_give_one_message_for_a_row_and_a_batch(self):
+        # the first tree needs 2 columns, the second 3: the forest needs 3
+        forest = Forest(params=ForestParams(TreeParams(CriterionSpec("gini")), n_trees=2),
+                        n_classes=2, trees=[_stump(1), _stump(2)])
+        assert forest.min_columns == 3
+        message = "the model splits on feature 2, so it needs an n x d input with d >= 3"
+        for predict, x in ((predict_forest, np.zeros(1)),
+                           (predict_forest_batch, np.zeros((4, 1)))):
+            shape = re.escape(str(x.shape))
+            with pytest.raises(ValueError, match=f"^{message}; got shape {shape}$"):
+                predict(forest, x)
+        assert predict_forest_batch(forest, np.zeros((4, 3)))[0].tolist() == [0] * 4
 
     @pytest.mark.parametrize("x", [np.zeros((1, 8)), np.float64(1.0)], ids=["2-d", "0-d"])
     def test_row_that_is_not_1d_raises(self, x):

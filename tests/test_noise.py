@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from robust_trees.dataeng import Dataset
+from robust_trees.dataeng import DataFormatError, Dataset, load_csv_features
 from robust_trees.noise import (
     NoiseSpec,
     TransitionMatrix,
@@ -57,8 +57,9 @@ class TestTransitionMatrix:
             TransitionMatrix(np.array([row, [0.0, 1.0]]))
         path = tmp_path / "matrix.csv"
         path.write_text(",".join(map(str, row)) + "\n0,1\n")
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            TransitionMatrix.from_csv(path)
+        # a matrix file is read by the one feature-CSV parser, which names the line
+        with pytest.raises(DataFormatError, match=r":1: non-finite feature value 'nan'$"):
+            load_csv_features(path, header=False)
 
     def test_diagonal_dominance_flag(self):
         assert uniform_matrix(4, 0.2).diagonally_dominant()
@@ -69,7 +70,7 @@ class TestTransitionMatrix:
         m = mahalanobis_matrix(*gaussian_blobs(60, [[0, 0], [5, 0], [0, 7]], seed=3))
         path = tmp_path / "matrix.csv"
         m.to_csv(path)
-        again = TransitionMatrix.from_csv(path)
+        again = TransitionMatrix(load_csv_features(path, header=False))
         assert np.array_equal(again.eta, m.eta)
 
 
@@ -170,12 +171,36 @@ class TestMahalanobisMatrix:
         fixed = mahalanobis_matrix(X, y, ridge=1e-6)
         assert np.all(np.abs(fixed.eta.sum(axis=1) - 1.0) <= 1e-9)
 
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+    def test_a_ridge_that_is_not_finite_and_nonnegative_is_rejected(self, ridge):
+        X, y = gaussian_blobs(40, [[0, 0], [5, 0], [0, 5]], seed=2)
+        with pytest.raises(ValueError, match=f"^ridge must be a finite number >= 0, got {ridge}$"):
+            mahalanobis_matrix(X, y, ridge=ridge)
+
     def test_spec_round_trip(self):
         spec = NoiseSpec.from_dict({"kind": "uniform", "eta": 0.4})
         assert spec.label() == "uniform(0.4)"
         assert np.allclose(spec.transition(2).eta, [[0.6, 0.4], [0.4, 0.6]])
         cc = NoiseSpec.from_dict({"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3})
         assert cc.to_dict() == {"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3}
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("setting, name", [
+        ({"kind": "mahalanobis", "eta": 0.4}, "eta"),
+        ({"kind": "uniform", "eta": 0.3, "rho_pos": 0.2}, "rho_pos"),
+        ({"kind": "uniform", "ridge": 1.0}, "ridge"),
+        ({"kind": "binary_cc", "rho_pos": 0.1, "eta": np.nan}, "eta"),
+        ({"kind": "mahalanobis", "rho_neg": 0.1}, "rho_neg"),
+    ])
+    def test_a_parameter_the_kind_does_not_take_is_rejected(self, setting, name):
+        with pytest.raises(ValueError, match=f"^noise {setting['kind']!r} takes no {name}"
+                                             " parameter$"):
+            NoiseSpec.from_dict(setting)
+
+    def test_a_default_value_of_a_parameter_the_kind_does_not_take_passes(self):
+        spec = NoiseSpec.from_dict({"kind": "mahalanobis", "eta": 0.0, "ridge": 0.5})
+        assert spec.to_dict() == {"kind": "mahalanobis", "ridge": 0.5}
 
 
 class TestHoeffding:

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from robust_trees.criteria import ClassHistogram, CriterionSpec, impurity
+from robust_trees.dataeng import Dataset
+from robust_trees.errors import _labels
 from robust_trees.forest import forest_from_dict
+from robust_trees.noise import corrupt, uniform_matrix
 from robust_trees.oracle import exhaustive_early_stop_check
 from robust_trees.tree import (
     Tree,
@@ -128,6 +131,12 @@ class TestFit:
         kwargs = {"n_classes": 2} if err == "range" else {}
         with pytest.raises(ValueError, match=err):
             fit(X, y, TreeParams(CriterionSpec("gini")), **kwargs)
+
+    def test_whole_float_labels_fit_as_their_integers(self):
+        X, y = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 2, 1, 2])
+        params = TreeParams(CriterionSpec("gini"))
+        assert (json.dumps(tree_to_dict(fit(X, y.astype(float), params)))
+                == json.dumps(tree_to_dict(fit(X, y, params))))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
@@ -388,3 +397,44 @@ class TestTreeInvariants:
         y = rng.integers(0, 4, 257)
         tree = fit(X, y, TreeParams(CriterionSpec("entropy")))
         assert np.array_equal(tree.counts.sum(axis=0), np.bincount(y, minlength=4))
+
+
+# each entry point that takes labels, with its own class count K = 2
+LABEL_SITES = {
+    "fit": lambda y: fit(np.zeros((len(y), 1)), y, TreeParams(CriterionSpec("gini")), n_classes=2),
+    "Dataset": lambda y: Dataset(np.zeros((len(y), 1)), y, ("a", "b")),
+    "corrupt": lambda y: corrupt(y, uniform_matrix(2, 0.1), 0),
+    "from_labels": lambda y: ClassHistogram.from_labels(y, 2),
+}
+
+
+class TestLabelRule:
+    """Every entry point reads labels by one rule: whole numbers in [0, K)."""
+
+    @pytest.mark.parametrize("site", LABEL_SITES)
+    @pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf")])
+    def test_a_label_that_is_not_whole_is_no_class(self, site, bad, shown):
+        with pytest.raises(ValueError, match=f"^labels must be whole numbers, got {shown}$"):
+            LABEL_SITES[site]([0, bad, 1])
+
+    @pytest.mark.parametrize("site, source", [("fit", "n_classes"), ("Dataset", "class_names"),
+                                              ("corrupt", "the transition matrix"),
+                                              ("from_labels", "n_classes")])
+    def test_a_label_of_k_or_more_names_the_source_of_k(self, site, source):
+        with pytest.raises(ValueError, match=f"^labels out of range for {source}: 5 is not"
+                                             " below 2$"):
+            LABEL_SITES[site]([0, 1, 5])
+        with pytest.raises(ValueError, match="^labels must be nonnegative class indices, got -1$"):
+            LABEL_SITES[site]([0, 1, -1])
+
+    @pytest.mark.parametrize("site", LABEL_SITES)
+    def test_whole_numbers_of_any_type_pass(self, site):
+        for y in ([0, 1, 1], [0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.uint8),
+                  [False, True, True]):
+            LABEL_SITES[site](y)
+
+    def test_int64_labels_are_not_copied(self):
+        y = np.array([0, 1, 1], dtype=np.int64)
+        assert _labels(y, 2) is y
+        assert Dataset(np.zeros((3, 1)), y, ("a", "b")).labels is y
+        assert _labels(y.astype(np.int32)).dtype == np.int64
