@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import EmptyHistogramError, PartitionError, _check_type, _labels, _read
+from .errors import (EmptyHistogramError, PartitionError, _check_type, _class_count, _interval,
+                     _labels, _read)
 
 KINDS = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 
@@ -84,22 +84,16 @@ class CriterionSpec:
         _check_type("criterion kind", self.kind, str)
         if self.kind not in KINDS:
             raise ValueError(f"unknown criterion kind: {self.kind!r}")
-        for name, value in (("q", self.q), ("lambda", self.lam)):
-            _check_type(f"criterion {name}", value, Real, optional=True)
-        if self.kind == "gce":
-            if self.q is None:
-                raise ValueError("gce criterion requires q")
-            if not (math.isfinite(self.q) and self.q >= 0.0):
-                raise ValueError(f"gce exponent q must be >= 0, got {self.q}")
-        elif self.q is not None:
-            raise ValueError(f"criterion {self.kind!r} takes no q parameter")
-        if self.kind == "ne":
-            if self.lam is None:
-                raise ValueError("ne criterion requires lambda")
-            if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-                raise ValueError(f"ne lambda must be in [0, 1], got {self.lam}")
-        elif self.lam is not None:
-            raise ValueError(f"criterion {self.kind!r} takes no lambda parameter")
+        # each parameter, its kind and its interval: q lies in [0, inf), so it is finite
+        for name, value, owner, high, brackets in (("q", self.q, "gce", math.inf, "[)"),
+                                                    ("lambda", self.lam, "ne", 1.0, "[]")):
+            if self.kind != owner:
+                if value is not None:
+                    raise ValueError(f"criterion {self.kind!r} takes no {name} parameter")
+            elif value is None:
+                raise ValueError(f"{owner} criterion requires {name}")
+            else:
+                _interval(f"criterion {name}", value, 0.0, high, brackets)
 
     @property
     def is_conservative(self) -> bool:
@@ -155,8 +149,9 @@ class ClassHistogram:
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.shape[0] < 2:
-            raise ValueError("histogram needs a 1-D count vector with K >= 2 classes")
+        if counts.ndim != 1:
+            raise ValueError("histogram needs a 1-D count vector")
+        _class_count(counts.shape[0], "histogram K")
         if np.any(counts < 0):
             raise ValueError("class counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
@@ -410,14 +405,14 @@ class CdfSpec:
         if self.kind not in CDF_KINDS:
             raise ValueError(f"unknown cdf kind: {self.kind!r}")
         if self.kind == "shifted_negexp":
-            _check_mu(self.mu)
+            _interval("mu", self.mu, 0.0, brackets="[)")
         elif self.mu is not None:
             raise ValueError(f"cdf {self.kind!r} takes no mu parameter")
 
 
 def distribution_loss(cdf: CdfSpec, margin: float) -> float:
-    """Loss F(-z) for margin z = y * yhat; non-increasing, valued in [0, 1]."""
-    z = float(margin)
+    """Loss F(-z) for margin z = y * yhat in [-inf, inf]; non-increasing, valued in [0, 1]."""
+    z = float(_interval("margin", margin, -math.inf))
     if cdf.kind == "bernoulli":
         return 0.5 * (1.0 - float(np.sign(z)))
     if cdf.kind == "logistic":
@@ -433,24 +428,11 @@ def distribution_loss(cdf: CdfSpec, margin: float) -> float:
     raise ValueError(f"unknown cdf kind: {cdf.kind!r}")
 
 
-def _check_mu(mu) -> None:
-    """``ValueError`` naming mu unless it is a finite real number >= 0."""
-    _check_type("mu", mu, Real)
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mu must be a finite number >= 0, got {mu}")
-
-
 def lambda_from_mu(mu: float) -> float:
-    """Robustness parameter lambda = 2 e^{-mu}; mu >= ln 2 gives lambda <= 1."""
-    _check_mu(mu)
-    return 2.0 * math.exp(-mu)
+    """lambda = 2 e^{-mu} for a finite mu >= 0; mu >= ln 2 gives lambda <= 1."""
+    return 2.0 * math.exp(-_interval("mu", mu, 0.0, brackets="[)"))
 
 
 def mu_from_lambda(lam: float) -> float:
     """Inverse map mu = ln(2 / lambda) for lambda in (0, 1]."""
-    _check_type("lambda", lam, Real)
-    if not lam > 0.0:  # NaN fails it too
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    if lam > 1.0:
-        raise ValueError(f"lambda must be <= 1, got {lam}")
-    return math.log(2.0 / lam)
+    return math.log(2.0 / _interval("lambda", lam, 0.0, 1.0, "(]"))

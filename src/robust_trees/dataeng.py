@@ -19,13 +19,12 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import chain
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .criteria import CriterionSpec
-from .errors import _check_type, _from_json, _json, _labelled, _read
+from .errors import _check_type, _from_json, _interval, _json, _labelled, _read, _whole
 from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
 from .noise import NoiseSpec, corrupt
 from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
@@ -46,8 +45,6 @@ class Dataset:
 
     def __post_init__(self):
         X, y = _labelled(self.features, self.labels, len(self.class_names), "class_names")
-        if not np.isfinite(X).all():
-            raise ValueError("features contain non-finite values")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -278,8 +275,7 @@ def apply_label_map(dataset: Dataset, mapping: dict) -> Dataset:
 
 def train_test_split(dataset: Dataset, train_fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled split; train gets floor(n * fraction) rows."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    _interval("train_fraction", train_fraction, 0.0, 1.0, "()")
     n = dataset.n_samples
     n_train = int(n * train_fraction)
     if n_train == 0 or n_train == n:
@@ -348,8 +344,7 @@ def accuracy_score(fitted, X, y) -> float:
 
 
 def _check_validation_fraction(value: float) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"validation_fraction must lie in (0, 1), got {value}")
+    _interval("validation_fraction", value, 0.0, 1.0, "()")
 
 
 def _lambda_grid(grid) -> tuple[float, ...]:
@@ -434,15 +429,11 @@ class ExperimentConfig:
     validation_fraction: float = DEFAULT_VALIDATION_FRACTION
 
     def __post_init__(self):
-        for name, kind in (("header", bool), ("train_fraction", Real), ("split_seed", Integral),
-                           ("replications", Integral), ("seed", Integral),
-                           ("validation_fraction", Real)):
-            _check_type(name, getattr(self, name), kind)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _check_type("header", self.header, bool)
+        _interval("train_fraction", self.train_fraction, 0.0, 1.0, "()")
         for name in ("split_seed", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            _whole(name, getattr(self, name), 0)
+        _whole("replications", self.replications, 1)
         _check_validation_fraction(self.validation_fraction)
         if not self.criteria or not self.noise:
             raise ValueError("need at least one criterion and one noise setting")

@@ -1,7 +1,8 @@
 """Exception types and the input checks shared across the package: every
 JSON object read from outside (a model, a config or one of its sections)
-goes through :func:`_read`, which checks its keys and renames them, and
-every vector of class labels through :func:`_labels`."""
+goes through :func:`_read`, which checks its keys and renames them, every
+vector of class labels through :func:`_labels`, and every scalar range rule
+(whole numbers, intervals, class counts, probability vectors) lives here."""
 
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
@@ -43,6 +44,43 @@ def _json(value, kind: type, what: str):
     return value
 
 
+def _whole(what: str, value, low: int, optional: bool = False):
+    """``value`` if it is an integer >= ``low`` (or None when ``optional``), else ``ValueError``."""
+    _check_type(what, value, Integral, optional)
+    if value is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def _interval(what: str, value, low: float, high: float = float("inf"), brackets: str = "[]",
+              optional: bool = False):
+    """``value`` if it is a real number (or None when ``optional``) in the
+    interval from ``low`` to ``high`` whose ends ``brackets`` close (``[]``)
+    or open (``()``), else ``ValueError`` naming ``what``; NaN lies in none."""
+    _check_type(what, value, Real, optional)
+    if value is None:
+        return value
+    above = low <= value if brackets[0] == "[" else low < value
+    below = value <= high if brackets[1] == "]" else value < high
+    if not (above and below):
+        raise ValueError(f"{what} must lie in {brackets[0]}{low:g}, {high:g}{brackets[1]},"
+                         f" got {value}")
+    return value
+
+
+def _class_count(k, what: str = "K") -> int:
+    """``k`` if it is a class count a model can have, an integer >= 2."""
+    return _whole(what, k, 2)
+
+
+def _probabilities(p, what: str = "p") -> np.ndarray:
+    """``p`` as float64 if it is a probability vector: K >= 2 nonnegative entries summing to 1."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size < 2 or not (p >= 0.0).all() or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{what} must be a probability vector with K >= 2")
+    return p
+
+
 def _labels(labels, k: int | None = None, what: str = "K") -> np.ndarray:
     """The one label rule: ``labels`` as int64 whole numbers in [0, k) (in
     int64's range without ``k``), else ``ValueError`` naming ``what``, the
@@ -67,12 +105,14 @@ def _labels(labels, k: int | None = None, what: str = "K") -> np.ndarray:
 
 def _labelled(features, labels, k: int | None = None,
               what: str = "K") -> tuple[np.ndarray, np.ndarray]:
-    """``features`` as a float64 n x d matrix and ``labels`` as one label per
-    row by :func:`_labels`, else ``ValueError``."""
+    """``features`` as a finite float64 n x d matrix and ``labels`` as one
+    label per row by :func:`_labels`, else ``ValueError``."""
     X = np.asarray(features, dtype=np.float64)
     y = _labels(labels, k, what)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("features must be n x d with one label per row")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     return X, y
 
 

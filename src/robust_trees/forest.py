@@ -17,19 +17,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from .criteria import CriterionSpec
-from .errors import _check_type, _json, _read
-from .tree import (Tree, TreeParams, _class_count, _fit_inputs, _fit_trees, _leaf_of, _row,
+from .errors import _check_type, _class_count, _json, _read, _whole
+from .tree import (Tree, TreeParams, _fit_inputs, _fit_trees, _leaf_of, _row,
                    _too_few_columns, predict_batch, tree_from_dict, tree_stats, tree_to_dict)
 
 
 @dataclass(frozen=True)
 class ForestParams:
-    """A forest's trees draw only from ``rng_seed``, never ``tree_params.rng_seed``."""
+    """The trees draw only from ``rng_seed``; ``tree_params.rng_seed`` keeps its default."""
 
     tree_params: TreeParams
     n_trees: int = 100
@@ -37,13 +36,12 @@ class ForestParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "rng_seed"):
-            _check_type(name, getattr(self, name), Integral)
+        _whole("n_trees", self.n_trees, 1)
         _check_type("bootstrap", self.bootstrap, bool)
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        _whole("rng_seed", self.rng_seed, 0)
+        if self.tree_params.rng_seed != TreeParams.rng_seed:
+            raise ValueError("forest tree_params takes no rng_seed parameter: the trees draw"
+                             " from the forest's rng_seed")
 
 
 @dataclass

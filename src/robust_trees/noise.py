@@ -20,7 +20,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import _check_type, _from_json, _labelled, _labels
+from .errors import (_check_type, _class_count, _from_json, _interval, _labelled, _labels,
+                     _probabilities, _whole)
 
 _ROW_SUM_TOL = 1e-9
 # each noise kind -> the NoiseSpec parameters it takes
@@ -70,7 +71,8 @@ class NoiseSpec:
     (flip rates for class 0 and class 1); ``mahalanobis`` builds the
     class-similarity matrix from the training features with ``ridge``
     regularization (None = automatic scaling).  A parameter that the kind
-    does not take must keep its default.
+    does not take must keep its default.  Rates lie in [0, 1), a ridge in
+    [0, inf); the matrix checks uniform noise's bound for K classes.
     """
 
     kind: str
@@ -87,6 +89,8 @@ class NoiseSpec:
             _check_type(f"noise {name}", value, Real, optional=name == "ridge")
             if value != getattr(NoiseSpec, name) and name not in _KIND_PARAMS[self.kind]:
                 raise ValueError(f"noise {self.kind!r} takes no {name} parameter")
+            _interval(f"noise {name}", value, 0.0, math.inf if name == "ridge" else 1.0, "[)",
+                      optional=name == "ridge")
 
     def label(self) -> str:
         if self.kind == "uniform":
@@ -118,13 +122,15 @@ class NoiseSpec:
         return _from_json(NoiseSpec, d, "noise setting")
 
 
+def _uniform_rate(eta, k: int) -> float:
+    """``eta`` if uniform noise on K classes can flip at that rate, in [0, (K-1)/K)."""
+    return _interval(f"uniform eta for K={k}", eta, 0.0, (k - 1) / k, "[)")
+
+
 def uniform_matrix(n_classes: int, eta: float) -> TransitionMatrix:
     """Keep the label with probability 1 - eta, else flip uniformly."""
-    k = n_classes
-    if k < 2:
-        raise ValueError("need at least two classes")
-    if not (0.0 <= eta < (k - 1) / k):
-        raise ValueError(f"uniform noise requires 0 <= eta < {(k - 1) / k:.4f} for K={k}")
+    k = _class_count(n_classes, "n_classes")
+    _uniform_rate(eta, k)
     m = np.full((k, k), eta / (k - 1))
     np.fill_diagonal(m, 1.0 - eta)
     return TransitionMatrix(m)
@@ -133,8 +139,7 @@ def uniform_matrix(n_classes: int, eta: float) -> TransitionMatrix:
 def binary_cc_matrix(rho_pos: float, rho_neg: float) -> TransitionMatrix:
     """Binary class-conditional noise; class 0 flips at rho_pos, class 1 at rho_neg."""
     for name, rho in (("rho_pos", rho_pos), ("rho_neg", rho_neg)):
-        if not (0.0 <= rho < 1.0):
-            raise ValueError(f"{name} must lie in [0, 1), got {rho}")
+        _interval(name, rho, 0.0, 1.0, "[)")
     return TransitionMatrix(np.array([[1.0 - rho_pos, rho_pos], [rho_neg, 1.0 - rho_neg]]))
 
 
@@ -189,8 +194,7 @@ def mahalanobis_matrix(features, labels, ridge: float | None = None) -> Transiti
     the similarities, which keeps rows summing to one.  ``ridge``, if given,
     must be a finite number >= 0.
     """
-    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
+    _interval("ridge", ridge, 0.0, brackets="[)", optional=True)
     X, y = _labelled(features, labels)
     k = int(y.max()) + 1
     if k < 3:
@@ -241,14 +245,10 @@ def hoeffding_bound(p, eta: float, n: int) -> float:
     post-noise gap between the majority class and any other class.
     Requires a unique majority and eta < (K-1)/K.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _probabilities(p)
     k = p.shape[0]
-    if k < 2 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0.0):
-        raise ValueError("p must be a probability vector with K >= 2")
-    if not (0.0 <= eta < (k - 1) / k):
-        raise ValueError(f"requires 0 <= eta < {(k - 1) / k:.4f}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _uniform_rate(eta, k)
+    _whole("n", n, 1)
     star = int(np.argmax(p))
     others = np.delete(p, star)
     if others.max() >= p[star]:
@@ -259,9 +259,8 @@ def hoeffding_bound(p, eta: float, n: int) -> float:
 
 
 def round_class_counts(p, n: int) -> np.ndarray:
-    """Integer class counts summing to n, nearest to n * p (largest remainder)."""
-    p = np.asarray(p, dtype=np.float64)
-    raw = p * n
+    """Integer class counts summing to n >= 1, nearest to n * p (largest remainder)."""
+    raw = _probabilities(p) * _whole("n", n, 1)
     counts = np.floor(raw).astype(np.int64)
     short = n - int(counts.sum())
     if short > 0:
@@ -277,7 +276,7 @@ def majority_preservation_mc(p, eta: float, n: int, trials: int, rng_seed=0) -> 
     each trial corrupts all n labels and checks whether the original
     majority class still has a (possibly tied) maximal count.
     """
-    p = np.asarray(p, dtype=np.float64)
+    _whole("trials", trials, 1)
     counts = round_class_counts(p, n)
     k = counts.shape[0]
     star = int(np.argmax(counts))

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .criteria import ClassHistogram, CriterionSpec, split_scores
-from .errors import EmptyHistogramError
+from .errors import EmptyHistogramError, _interval, _whole
 from .tree import _fit_inputs
 
 ORACLE_LOSSES = ("mse", "ce", "01", "mae", "gce", "ne")
@@ -37,10 +37,10 @@ class GridSpec:
     scalar_points: int = 4001
 
     def __post_init__(self):
-        if not (0.0 < self.simplex_step <= 0.5):
-            raise ValueError("simplex_step must lie in (0, 0.5]")
-        if self.scalar_points < 3 or self.scalar_range[0] >= self.scalar_range[1]:
-            raise ValueError("scalar grid must have at least 3 increasing points")
+        _interval("simplex_step", self.simplex_step, 0.0, 0.5, "(]")
+        _whole("scalar_points", self.scalar_points, 3)
+        if not self.scalar_range[0] < self.scalar_range[1]:
+            raise ValueError("scalar_range must be increasing")
 
 
 @lru_cache(maxsize=16)
@@ -140,8 +140,7 @@ def brute_force_impurity(
         dataset_size = total
     weight = total / dataset_size
     if loss == "ne":
-        if mu is None or mu < 0.0:
-            raise ValueError("ne loss requires mu >= 0")
+        _interval("mu", mu, 0.0, brackets="[)")
         if hist.n_classes != 2:
             raise ValueError("the ne margin loss is defined for binary problems")
         p = hist.probabilities()

@@ -71,12 +71,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
 from .criteria import CriterionSpec, split_scores
-from .errors import _check_type, _json, _labelled, _read, _wrong_json
+from .errors import _class_count, _json, _labelled, _read, _whole, _wrong_json
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,9 @@ class TreeParams:
 
     def __post_init__(self):
         for name in ("max_depth", "feature_subsample"):
-            _check_type(name, getattr(self, name), Integral, optional=True)
-        for name in ("min_samples_leaf", "rng_seed"):
-            _check_type(name, getattr(self, name), Integral)
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be positive when set")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.feature_subsample is not None and self.feature_subsample < 1:
-            raise ValueError("feature_subsample must be >= 1 when set")
+            _whole(name, getattr(self, name), 1, optional=True)
+        _whole("min_samples_leaf", self.min_samples_leaf, 1)
+        _whole("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(eq=False)
@@ -327,13 +318,6 @@ def _best_splits(
     return best, feature, threshold
 
 
-def _class_count(k: int, what: str = "K") -> int:
-    """``k`` if it is a class count a tree can have (K >= 2), else ``ValueError``."""
-    if k < 2:
-        raise ValueError(f"{what} must be >= 2, got {k}")
-    return k
-
-
 def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     """A fit's checked inputs: finite float64 features, int64 labels and the
     class count K, ``n_classes`` if given, else max(2, max(labels) + 1)."""
@@ -342,8 +326,6 @@ def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np
     X = np.ascontiguousarray(X)
     if X.shape[0] == 0:
         raise ValueError("features must be nonempty")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
     return X, y, max(2, int(y.max()) + 1) if k is None else k
 
 
@@ -628,6 +610,8 @@ def tree_to_dict(tree: Tree) -> dict:
 
 
 _TREE_KEYS = ("criterion", "K", "nodes")
+_NODE_KEYS = {"split": ("kind", "feature", "threshold", "left", "right"),
+              "leaf": ("kind", "counts")}
 
 
 def _overflows(value, dtype: np.dtype) -> bool:
@@ -676,6 +660,11 @@ def tree_from_dict(data: dict) -> Tree:
                 raise ValueError(f"node {nid}: kind must be 'split' or 'leaf', got {kind!r}")
         except KeyError as exc:
             raise ValueError(f"node {nid}: missing key {exc}") from None
+    # a node holds its kind's 5 or 2 keys, so more are unknown; one count spares the loop a check
+    if sum(map(len, entries)) != 5 * len(at) + 2 * len(leaves):
+        nid, key = next((i, key) for i, entry in enumerate(entries) for key in entry
+                        if key not in _NODE_KEYS[entry["kind"]])
+        raise ValueError(f"node {nid}: unknown key {key!r}")
     n = len(entries)
     split = np.zeros(n, dtype=bool)
     split[at] = True

@@ -13,6 +13,7 @@ import numpy as np
 
 from .criteria import ClassHistogram, CriterionSpec, impurity, mu_from_lambda
 from .noise import (
+    _noisy_expectation,
     corrupt,
     hoeffding_bound,
     mahalanobis_matrix,
@@ -180,7 +181,7 @@ def noise_suite(seed: int = 0) -> list[CheckResult]:
 
     p = rng.dirichlet(np.ones(k))
     counts = round_class_counts(p, n)
-    expected = (1.0 - k * eta / (k - 1)) * (counts / n) + eta / (k - 1)
+    expected = _noisy_expectation(counts / n, eta)
     labels = np.repeat(np.arange(k), counts)
     hist = np.bincount(corrupt(labels, uniform_matrix(k, eta), rng), minlength=k) / n
     sigma = np.sqrt(expected * (1.0 - expected) / n)

@@ -88,9 +88,9 @@ class TestTrain:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flags, message", [
-        (["--max-depth", "0"], "max_depth must be positive when set"),
-        (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1"),
-        (["--trees", "0"], "n_trees must be >= 1"),
+        (["--max-depth", "0"], "max_depth must be >= 1, got 0"),
+        (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1, got 0"),
+        (["--trees", "0"], "n_trees must be >= 1, got 0"),
     ], ids=["max-depth", "min-samples-leaf", "trees"])
     def test_bad_model_flag_exits_2_before_reading_data(self, tmp_path, capsys, flags,
                                                          message):
@@ -482,6 +482,14 @@ class TestNoiseCommand:
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err.endswith("error: noise 'uniform' takes no rho_pos parameter\n")
 
+    def test_a_rate_out_of_range_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # the data file does not exist: it is never read
+            main(["noise", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                  "--kind", "uniform", "--eta", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: noise eta must lie in [0, 1), got 5.0\n")
+
     def test_mahalanobis_on_three_classes(self, three_class_csv, tmp_path, capsys):
         matrix, noisy = tmp_path / "matrix.csv", tmp_path / "noisy.csv"
         code, status = run_cli(
@@ -514,7 +522,8 @@ class TestTune:
                   "--grid", "0.5,2"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == "" and fits == []
-        assert captured.err.endswith("error: tuning grid: ne lambda must be in [0, 1], got 2.0\n")
+        assert captured.err.endswith("error: tuning grid: criterion lambda must lie in [0, 1],"
+                                    " got 2.0\n")
 
     def test_grid_token_that_is_not_a_number_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -619,7 +628,7 @@ class TestBench:
 
     @pytest.mark.parametrize("overrides,message", [
         ({"tuning": {"grid": []}}, "error: tuning grid must be a non-empty list"),
-        ({"tuning": {"grid": [2.0]}}, "error: tuning grid: ne lambda must be in [0, 1]"),
+        ({"tuning": {"grid": [2.0]}}, "error: tuning grid: criterion lambda must lie in [0, 1]"),
         ({"tuning": {"grid": ["x"]}}, "error: tuning grid: criterion lambda must be a real"),
         ({"tuning": {"grid": "0.5"}}, "error: tuning grid must be a non-empty list"),
         ({"model": {"feature_subsample": 99}},
@@ -681,6 +690,17 @@ class TestBench:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"split": {"train_fraction": 1.5}}, "train_fraction must lie in (0, 1), got 1.5"),
+        ({"noise": [{"kind": "uniform", "eta": 5.0}]}, "noise eta must lie in [0, 1), got 5.0"),
+    ], ids=["train-fraction", "noise-eta"])
+    def test_a_value_out_of_range_fails_before_the_dataset_is_opened(self, tmp_path, capsys,
+                                                                    overrides, message):
+        config = _bench_config(tmp_path, tmp_path / "nope.csv", **overrides)
+        code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_dead_cell_worker_exits_1(self, blob_csv, tmp_path, capsys, monkeypatch):
         # two usable CPUs, so that the cells run on forked workers, which

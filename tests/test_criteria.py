@@ -289,6 +289,15 @@ class TestDistributionLosses:
         loss = distribution_loss(CdfSpec("shifted_negexp", mu=math.log(2.0)), 0.0)
         assert loss == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("cdf", [CdfSpec("bernoulli"), CdfSpec("logistic"), CdfSpec("uniform"),
+                                     CdfSpec("shifted_negexp", mu=0.7)], ids=lambda c: c.kind)
+    def test_infinite_margins_are_valid_and_a_nan_one_is_not(self, cdf):
+        assert distribution_loss(cdf, math.inf) == 0.0
+        assert distribution_loss(cdf, -math.inf) == 1.0
+        # max(0.0, nan) is 0.0, so the ramp alone would call a nan margin a zero loss
+        with pytest.raises(ValueError, match=r"^margin must lie in \[-inf, inf\], got nan$"):
+            distribution_loss(cdf, math.nan)
+
     def test_bernoulli_is_01_loss(self):
         assert distribution_loss(CdfSpec("bernoulli"), 1.0) == 0.0
         assert distribution_loss(CdfSpec("bernoulli"), -1.0) == 1.0
@@ -327,8 +336,8 @@ class TestLambdaMuMap:
             lambda_from_mu(-0.1)
 
     @pytest.mark.parametrize("value, message", [
-        (math.nan, "must be a finite number >= 0, got nan"),
-        (math.inf, "must be a finite number >= 0, got inf"),
+        (math.nan, r"must lie in \[0, inf\), got nan"),
+        (math.inf, r"must lie in \[0, inf\), got inf"),
         ("1", "must be a real number, got str"),
         (None, "must be a real number, got NoneType"),
     ], ids=["nan", "inf", "string", "none"])
@@ -339,7 +348,7 @@ class TestLambdaMuMap:
             CdfSpec("shifted_negexp", mu=value)
 
     @pytest.mark.parametrize("value, message", [
-        (math.nan, "must be > 0, got nan"), ("1", "must be a real number, got str")],
+        (math.nan, r"must lie in \(0, 1\], got nan"), ("1", "must be a real number, got str")],
         ids=["nan", "string"])
     def test_lambda_must_be_a_finite_real(self, value, message):
         with pytest.raises(ValueError, match=f"^lambda {message}$"):

@@ -325,7 +325,7 @@ class TestTuneLambda:
 
     @pytest.mark.parametrize("grid, message", [
         ("0.5", "tuning grid must be a non-empty list of lambdas, got '0.5'"),
-        ([0.5, 2], "tuning grid: ne lambda must be in [0, 1], got 2"),
+        ([0.5, 2], "tuning grid: criterion lambda must lie in [0, 1], got 2"),
     ], ids=["string", "out-of-range"])
     def test_bad_grid_rejected_before_any_fit(self, monkeypatch, grid, message):
         monkeypatch.setattr(dataeng, "_fit_model", lambda *args: pytest.fail("fitted"))
@@ -339,10 +339,10 @@ class TestModelConfig:
     @pytest.mark.parametrize("fields, message", [
         ({"bootstrap": "no"}, "bootstrap must be true or false, got str"),
         ({"n_trees": "x"}, "n_trees must be an integer, got str"),
-        ({"n_trees": 0}, "n_trees must be >= 1"),
+        ({"n_trees": 0}, "n_trees must be >= 1, got 0"),
         ({"max_depth": "3"}, "max_depth must be an integer, got str"),
-        ({"min_samples_leaf": 0}, "min_samples_leaf must be >= 1"),
-        ({"kind": "forest", "feature_subsample": 0}, "feature_subsample must be >= 1 when set"),
+        ({"min_samples_leaf": 0}, "min_samples_leaf must be >= 1, got 0"),
+        ({"kind": "forest", "feature_subsample": 0}, "feature_subsample must be >= 1, got 0"),
         ({"kind": "bush"}, "model kind must be 'tree' or 'forest', got 'bush'"),
     ], ids=["bootstrap", "n-trees-type", "n-trees", "max-depth", "min-samples-leaf",
             "feature-subsample", "kind"])

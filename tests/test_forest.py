@@ -87,6 +87,14 @@ class TestFitForest:
         with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
             ForestParams(TreeParams(CriterionSpec("gini")), rng_seed=-1)
 
+    def test_a_tree_seed_is_rejected(self):
+        # the trees draw from the forest's seed alone, and a saved forest drops the tree seed
+        with pytest.raises(ValueError, match="^forest tree_params takes no rng_seed parameter"):
+            ForestParams(TreeParams(CriterionSpec("gini"), rng_seed=5))
+        forest = fit_forest(*_blobs(), ForestParams(TreeParams(CriterionSpec("gini")), n_trees=2,
+                                                    rng_seed=5))
+        assert forest_from_dict(forest_to_dict(forest)).params == forest.params
+
     def test_default_subsample_is_sqrt_d(self):
         X, y = _blobs(seed=19, d=9)
         forest = fit_forest(X, y, ForestParams(TreeParams(CriterionSpec("gini")),

@@ -38,6 +38,11 @@ class TestUniformMatrix:
         with pytest.raises(ValueError):
             uniform_matrix(k, eta)
 
+    def test_the_bound_names_k(self):
+        with pytest.raises(ValueError) as exc:
+            uniform_matrix(4, 0.8)
+        assert str(exc.value) == "uniform eta for K=4 must lie in [0, 0.75), got 0.8"
+
     def test_rows_sum_to_one(self):
         for k in (2, 3, 7):
             m = uniform_matrix(k, 0.25).eta
@@ -157,6 +162,12 @@ class TestMahalanobisMatrix:
             with pytest.raises(ValueError, match="^features must be n x d with one label per"):
                 build(X, y[:, None])
 
+    def test_a_non_finite_feature_is_named(self):
+        X, y = gaussian_blobs(40, [[0, 0], [5, 0], [0, 5]], seed=2)
+        X[7, 1] = np.nan  # named here, not left to surface as a degenerate covariance
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            mahalanobis_matrix(X, y)
+
     def test_requires_two_samples_per_class(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [9.0, 9.0]])
         y = np.array([0, 0, 1, 1, 2])
@@ -174,7 +185,7 @@ class TestMahalanobisMatrix:
     @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
     def test_a_ridge_that_is_not_finite_and_nonnegative_is_rejected(self, ridge):
         X, y = gaussian_blobs(40, [[0, 0], [5, 0], [0, 5]], seed=2)
-        with pytest.raises(ValueError, match=f"^ridge must be a finite number >= 0, got {ridge}$"):
+        with pytest.raises(ValueError, match=rf"^ridge must lie in \[0, inf\), got {ridge}$"):
             mahalanobis_matrix(X, y, ridge=ridge)
 
     def test_spec_round_trip(self):
@@ -196,6 +207,18 @@ class TestNoiseSpec:
     def test_a_parameter_the_kind_does_not_take_is_rejected(self, setting, name):
         with pytest.raises(ValueError, match=f"^noise {setting['kind']!r} takes no {name}"
                                              " parameter$"):
+            NoiseSpec.from_dict(setting)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"kind": "uniform", "eta": 5.0}, r"noise eta must lie in \[0, 1\), got 5.0"),
+        ({"kind": "uniform", "eta": -0.1}, r"noise eta must lie in \[0, 1\), got -0.1"),
+        ({"kind": "binary_cc", "rho_neg": 1.0}, r"noise rho_neg must lie in \[0, 1\), got 1.0"),
+        ({"kind": "binary_cc", "rho_pos": np.nan}, r"noise rho_pos must lie in \[0, 1\), got nan"),
+        ({"kind": "mahalanobis", "ridge": -1.0}, r"noise ridge must lie in \[0, inf\), got -1.0"),
+        ({"kind": "mahalanobis", "ridge": np.inf}, r"noise ridge must lie in \[0, inf\), got inf"),
+    ])
+    def test_a_rate_or_ridge_out_of_range_is_rejected_when_read(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             NoiseSpec.from_dict(setting)
 
     def test_a_default_value_of_a_parameter_the_kind_does_not_take_passes(self):
@@ -245,3 +268,19 @@ class TestHoeffding:
         assert np.array_equal(counts, [5, 3, 2])
         odd = round_class_counts([1 / 3, 1 / 3, 1 / 3], 10)
         assert odd.sum() == 10
+
+    @pytest.mark.parametrize("p", [[0.9, 0.9], [0.5, -0.2, 0.7], [np.nan, 1.0], [1.0]])
+    def test_a_p_that_is_no_probability_vector_is_rejected(self, p):
+        # the rule hoeffding_bound states, for the rounding and the simulation too
+        for call in (lambda: round_class_counts(p, 10), lambda: hoeffding_bound(p, 0.1, 10),
+                     lambda: majority_preservation_mc(p, 0.1, 10, trials=10)):
+            with pytest.raises(ValueError, match=r"^p must be a probability vector with K >= 2$"):
+                call()
+
+    @pytest.mark.parametrize("n, trials, message", [
+        (10, 0, "trials must be >= 1, got 0"), (0, 10, "n must be >= 1, got 0"),
+        (10.0, 10, "n must be an integer, got float")])
+    def test_a_sample_and_a_trial_count_are_whole_numbers_from_one(self, n, trials, message):
+        with pytest.raises(ValueError) as exc:  # no trial would average to nan
+            majority_preservation_mc([0.7, 0.3], 0.1, n, trials)
+        assert str(exc.value) == message

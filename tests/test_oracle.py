@@ -37,6 +37,11 @@ def hist(*counts):
 
 
 class TestBruteForceImpurity:
+    @pytest.mark.parametrize("mu", [None, -0.5, math.nan, math.inf])
+    def test_ne_takes_mu_as_cdfspec_does(self, mu):
+        with pytest.raises(ValueError, match="^mu must "):  # nan fails no plain comparison
+            brute_force_impurity("ne", hist(3, 1), mu=mu)
+
     def test_01_attains_vertex_minimum(self):
         assert brute_force_impurity("01", hist(3, 1)) == pytest.approx(0.25, abs=1e-12)
 

@@ -312,6 +312,9 @@ class TestLoadValidation:
         (2, "counts", [0, 2, 1], "node 2: counts has 3 entries, K is 2"),
         (1, "counts", [-1, 3], "node 1: leaf counts"),
         (2, "counts", [0, 0], "node 2: leaf counts"),
+        (0, "counts", [1, 1], "node 0: unknown key 'counts'"),
+        (1, "feature", 0, "node 1: unknown key 'feature'"),
+        (2, "treshold", 1.5, "node 2: unknown key 'treshold'"),
     ])
     def test_malformed_node_is_named(self, node, key, value, message):
         data = _stump_model()
@@ -321,6 +324,14 @@ class TestLoadValidation:
             data["nodes"][node][key] = value
         with pytest.raises(ValueError, match=f"^{message}"):
             tree_from_dict(data)
+
+    def test_an_unknown_node_key_is_named_in_a_forest(self):
+        data = _stump_model()
+        data["nodes"][2]["feature"] = 0
+        forest = {"params": {"n_trees": 2, "bootstrap": True, "criterion": {"kind": "gini"}},
+                  "K": 2, "trees": [_stump_model(), data]}
+        with pytest.raises(ValueError, match="^tree 1: node 2: unknown key 'feature'$"):
+            forest_from_dict(forest)
 
     @pytest.mark.parametrize("children, message", [
         ([(1, 1)], "node 1: the child of 2 splits"),  # one node as both children
