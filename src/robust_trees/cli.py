@@ -21,6 +21,7 @@ import numpy as np
 from . import dataeng, forest as forest_mod, noise as noise_mod, tree as tree_mod
 from .criteria import KINDS, CriterionSpec
 from .dataeng import DEFAULT_LAMBDA_GRID, DEFAULT_VALIDATION_FRACTION, Dataset, ModelConfig
+from .errors import _load_json
 from .verify import SUITES
 
 
@@ -153,8 +154,7 @@ def cmd_train(parser, args) -> int:
 
 
 def _load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path, "model")
     if isinstance(data, dict) and "trees" in data:
         return forest_mod.forest_from_dict(data)
     return tree_mod.tree_from_dict(data)

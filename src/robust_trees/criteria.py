@@ -52,16 +52,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyHistogramError, PartitionError, _check_type, _class_count, _interval,
-                     _labels, _read)
+                     _labels, _read, _whole)
 
 KINDS = ("gini", "entropy", "misclassification", "mae", "gce", "ne", "twoing")
 
-# Criteria whose impurity is C * (1 - ||p||_inf); risk reductions for these
-# reduce to integer arithmetic on class counts and are computed exactly.
-_CONSERVATIVE = ("misclassification", "mae")
+# The conservative criteria, whose impurity is (1 - ||p||_inf) / D: each kind -> its D
+# (gce's D is its q when q >= 1).  Their risk reductions reduce to integer
+# arithmetic on class counts and are computed exactly.
+_CONSERVATIVE = {"misclassification": 1.0, "mae": 0.5}
+
+# each kind that takes a parameter -> its JSON key, its CriterionSpec field and its interval
+_PARAMS = {"gce": ("q", "q", (0.0, math.inf, "[)")), "ne": ("lambda", "lam", (0.0, 1.0, "[]"))}
 
 # a criterion's JSON keys -> CriterionSpec fields
-_CRITERION_KEYS = {"kind": "kind", "q": "q", "lambda": "lam"}
+_CRITERION_KEYS = {"kind": "kind", **{key: name for key, name, _ in _PARAMS.values()}}
 
 # bytes of one float64 temporary (K x block candidates) of a scoring block,
 # under glibc's default 128 KiB mmap threshold (see the module docstring)
@@ -84,23 +88,25 @@ class CriterionSpec:
         _check_type("criterion kind", self.kind, str)
         if self.kind not in KINDS:
             raise ValueError(f"unknown criterion kind: {self.kind!r}")
-        # each parameter, its kind and its interval: q lies in [0, inf), so it is finite
-        for name, value, owner, high, brackets in (("q", self.q, "gce", math.inf, "[)"),
-                                                    ("lambda", self.lam, "ne", 1.0, "[]")):
+        for owner, (key, name, interval) in _PARAMS.items():
+            value = getattr(self, name)
             if self.kind != owner:
                 if value is not None:
-                    raise ValueError(f"criterion {self.kind!r} takes no {name} parameter")
+                    raise ValueError(f"criterion {self.kind!r} takes no {key} parameter")
             elif value is None:
-                raise ValueError(f"{owner} criterion requires {name}")
+                raise ValueError(f"{owner} criterion requires {key}")
             else:
-                _interval(f"criterion {name}", value, 0.0, high, brackets)
+                _interval(f"criterion {key}", value, *interval)
+
+    @property
+    def _divisor(self) -> float | None:
+        """The D of a conservative criterion's impurity (1 - ||p||_inf) / D, else None."""
+        return self.q if self.kind == "gce" and self.q >= 1.0 else _CONSERVATIVE.get(self.kind)
 
     @property
     def is_conservative(self) -> bool:
         """Whether the impurity is an exact multiple of 1 - ||p||_inf."""
-        if self.kind in _CONSERVATIVE:
-            return True
-        return self.kind == "gce" and self.q >= 1.0
+        return self._divisor is not None
 
     @property
     def halting_slack(self) -> float:
@@ -109,22 +115,17 @@ class CriterionSpec:
         return 0.0 if self.is_conservative else 1e-12
 
     def conservative_constant(self) -> float:
-        """The C in C * (1 - ||p||_inf) for conservative criteria."""
-        if self.kind == "misclassification":
-            return 1.0
-        if self.kind == "mae":
-            return 2.0
-        if self.kind == "gce" and self.q >= 1.0:
-            return 1.0 / self.q
-        raise ValueError(f"{self.label()} is not a conservative criterion")
+        """The C = 1 / D in C * (1 - ||p||_inf) for conservative criteria."""
+        if not self.is_conservative:
+            raise ValueError(f"{self.label()} is not a conservative criterion")
+        return 1.0 / self._divisor
 
     def params_label(self) -> str:
-        """The parameter as ``q=...`` or ``lambda=...``; empty for other kinds."""
-        if self.kind == "gce":
-            return f"q={self.q:g}"
-        if self.kind == "ne":
-            return f"lambda={self.lam:g}"
-        return ""
+        """The parameter as ``key=value`` (``q=...``, ``lambda=...``); empty for other kinds."""
+        if self.kind not in _PARAMS:
+            return ""
+        key, name, _ = _PARAMS[self.kind]
+        return f"{key}={getattr(self, name):g}"
 
     def label(self) -> str:
         params = self.params_label()
@@ -211,20 +212,16 @@ def counts_impurity(spec: CriterionSpec, counts: np.ndarray) -> np.ndarray:
     """
     counts = np.asarray(counts)
     p = counts / _class_sum(counts)[..., None]  # int / int divides in float64: no float copy
-    kind = spec.kind
+    kind, divisor = spec.kind, spec._divisor
     if kind == "gini":
         return 1.0 - _class_sum(np.square(p))
     if kind == "entropy" or (kind == "gce" and spec.q == 0.0):
         plogp = np.log(p, out=np.zeros_like(p), where=p > 0.0)  # 0 ln 0 := 0
         plogp *= p
         return -_class_sum(plogp)
-    if kind == "misclassification":
-        return 1.0 - _class_max(p)
-    if kind == "mae":
-        return 2.0 * (1.0 - _class_max(p))
+    if divisor is not None:  # x / 1 is x and x / 0.5 is 2 x, bit for bit
+        return (1.0 - _class_max(p)) / divisor
     if kind == "gce":
-        if spec.q >= 1.0:
-            return (1.0 - _class_max(p)) / spec.q
         r = 1.0 / (1.0 - spec.q)
         norm = np.power(_class_sum(np.power(p, r)), 1.0 / r)
         return (1.0 - norm) / spec.q
@@ -243,9 +240,7 @@ def impurity(spec: CriterionSpec, hist: ClassHistogram, dataset_size: int) -> We
     total = hist.total
     if total == 0:
         raise EmptyHistogramError("cannot compute the impurity of an empty node")
-    if dataset_size < total or dataset_size <= 0:
-        raise ValueError("dataset_size must be >= the node's sample count")
-    weight = total / dataset_size
+    weight = total / _whole("dataset_size", dataset_size, total)
     value = weight * float(counts_impurity(spec, hist.counts)) + 0.0  # normalize -0.0
     return WeightedImpurity(value=value, weight=weight)
 
@@ -339,6 +334,7 @@ def risk_reduction(
         raise EmptyHistogramError("risk reduction needs nonempty children")
     if spec.kind == "twoing":
         raise ValueError("twoing defines a split score, not a risk reduction")
+    _whole("dataset_size", dataset_size, parent.total)
     return float(split_scores(spec, parent.counts, left.counts, dataset_size))
 
 
@@ -355,6 +351,7 @@ def twoing_score(
     """
     lc = np.asarray(left.counts if isinstance(left, ClassHistogram) else left)
     rc = np.asarray(right.counts if isinstance(right, ClassHistogram) else right)
+    _whole("dataset_size", dataset_size, int(_class_sum(lc + rc).max()))
     score = split_scores(CriterionSpec("twoing"), lc + rc, lc, dataset_size)
     return float(score) if np.ndim(score) == 0 else score
 

@@ -10,13 +10,13 @@ seeds, so results are reproducible and independent of evaluation order.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import threading
 import time
 from array import array
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import CriterionSpec
-from .errors import _check_type, _from_json, _interval, _json, _labelled, _read, _whole
+from .errors import _check_type, _from_json, _interval, _labelled, _load_json, _read, _whole
 from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
 from .noise import NoiseSpec, corrupt
 from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
@@ -32,6 +32,8 @@ from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
 SUMMARY_HEADER = [
     "dataset", "criterion", "noise", "replications", "mean_accuracy", "two_sd",
 ]
+# the criterion name of NE with lambda tuned per replication
+_TUNED = "ane"
 DEFAULT_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VALIDATION_FRACTION = 0.2
 FORMATS = ("csv", "libsvm")
@@ -96,8 +98,19 @@ def load_csv_features(path, header: bool = True) -> np.ndarray:
 def _parse_csv(path, label_column, header: bool) -> tuple[np.ndarray, list[str]]:
     """Finite float features and raw labels of a CSV file (no labels if
     ``label_column`` is None); malformed rows raise naming ``path:line``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8(path, newline="") as fh:
         return _parse_rows(path, csv.reader(fh), label_column, header)
+
+
+@contextmanager
+def _utf8(path, newline=None):
+    """The text file at ``path`` opened as UTF-8; bytes that do not decode
+    raise ``DataFormatError`` naming it."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _parse_rows(path, reader, label_column, header: bool) -> tuple[np.ndarray, list[str]]:
@@ -206,7 +219,7 @@ def load_libsvm(path, n_features: int = 0) -> Dataset:
     raw_labels: list[str] = []
     lengths, cols, vals = array("q"), array("q"), array("d")
     max_index = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -403,9 +416,9 @@ class CriterionSetting:
 
     @staticmethod
     def from_dict(d: dict) -> "CriterionSetting":
-        if _json(d, dict, "criterion").get("kind") == "ane":
+        if _check_type("criterion", d, dict).get("kind") == _TUNED:
             _read("criterion", d, ("kind",))  # lambda is tuned, never given
-            return CriterionSetting(name="ane")
+            return CriterionSetting(name=_TUNED)
         spec = CriterionSpec.from_dict(d)
         return CriterionSetting(name=spec.kind, spec=spec)
 
@@ -450,25 +463,24 @@ class ExperimentConfig:
         for section, (keys, required) in _CONFIG_SECTIONS.items():
             if section in config:
                 config.update(_read(section, config.pop(section), keys, required))
-        path = Path(_json(config["dataset_path"], str, "dataset path"))
+        path = Path(_check_type("dataset path", config["dataset_path"], str))
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         config["dataset_path"] = str(path)
         if config.get("label_map") is not None:
-            for name in _json(config["label_map"], dict, "label_map").values():
-                _json(name, str, "label_map value")
+            for name in _check_type("label_map", config["label_map"], dict).values():
+                _check_type("label_map value", name, str)
         config["criteria"] = tuple(CriterionSetting.from_dict(c)
-                                   for c in _json(config["criteria"], list, "criteria"))
+                                   for c in _check_type("criteria", config["criteria"], list))
         config["noise"] = tuple(NoiseSpec.from_dict(nz)
-                                for nz in _json(config["noise"], list, "noise"))
+                                for nz in _check_type("noise", config["noise"], list))
         if "model" in config:
             config["model"] = _from_json(ModelConfig, config["model"], "model")
         return ExperimentConfig(**config)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_dict(json.load(fh), base_dir=Path(path).parent)
+        return ExperimentConfig.from_dict(_load_json(path, "config"), base_dir=Path(path).parent)
 
 
 # the sections of a config whose keys are ExperimentConfig fields: each
@@ -637,29 +649,19 @@ def _run_cell(grid: _Grid, task: tuple) -> ResultRecord:
 
 
 def aggregate(records: list[ResultRecord]) -> list[dict]:
-    """Mean accuracy with a 2-standard-deviation band per grid cell."""
+    """Mean accuracy with a 2-standard-deviation band per grid cell, a
+    (dataset, criterion, params, noise) setting in the order first seen; a
+    tuned criterion's lambda is an outcome, not a setting, so it is no key."""
     cells: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
     for rec in records:
-        key = (rec.dataset, rec.criterion, rec.noise)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(rec.accuracy)
+        params = "" if rec.criterion == _TUNED else rec.params
+        cells.setdefault((rec.dataset, rec.criterion, params, rec.noise), []).append(rec.accuracy)
     out = []
-    for key in order:
-        accs = np.asarray(cells[key])
+    for (dataset, criterion, _, noise), accs in cells.items():
+        accs = np.asarray(accs)
         two_sd = 2.0 * float(accs.std(ddof=1)) if accs.size > 1 else 0.0
-        out.append(
-            {
-                "dataset": key[0],
-                "criterion": key[1],
-                "noise": key[2],
-                "replications": int(accs.size),
-                "mean_accuracy": float(accs.mean()),
-                "two_sd": two_sd,
-            }
-        )
+        out.append(dict(zip(SUMMARY_HEADER, (dataset, criterion, noise, int(accs.size),
+                                             float(accs.mean()), two_sd))))
     return out
 
 

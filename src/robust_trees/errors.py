@@ -1,9 +1,12 @@
 """Exception types and the input checks shared across the package: every
-JSON object read from outside (a model, a config or one of its sections)
-goes through :func:`_read`, which checks its keys and renames them, every
-vector of class labels through :func:`_labels`, and every scalar range rule
-(whole numbers, intervals, class counts, probability vectors) lives here."""
+JSON file (a model or a config) is read by :func:`_load_json`, every JSON
+object read from outside (a model, a config or one of its sections) goes
+through :func:`_read`, which checks its keys and renames them, every vector
+of class labels through :func:`_labels`, every type check names its type
+from the one vocabulary ``_TYPE_NAMES``, and every scalar range rule (whole
+numbers, intervals, class counts, probability vectors) lives here."""
 
+import json
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
@@ -19,29 +22,31 @@ class PartitionError(ValueError):
 
 
 _TYPE_NAMES = {Real: "a real number", Integral: "an integer", bool: "true or false",
-               str: "a string"}
-_JSON_KINDS = {dict: "object", list: "array", int: "integer", float: "number", str: "string"}
+               str: "a string", dict: "a JSON object", list: "a JSON array"}
 
 
-def _check_type(what: str, value, kind: type, optional: bool = False) -> None:
-    """Raise ``ValueError`` naming ``what`` unless ``value`` is a ``kind`` (a key
-    of ``_TYPE_NAMES``), or None when ``optional``.  A bool is no number here."""
+def _wrong_type(what: str, value, kind: type) -> ValueError:
+    return ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+
+
+def _check_type(what: str, value, kind: type, optional: bool = False):
+    """``value`` if it is a ``kind`` (a key of ``_TYPE_NAMES``), or None when
+    ``optional``, else ``ValueError`` naming ``what``.  A bool is no number here."""
     if value is None and optional:
-        return
+        return value
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
-
-
-def _wrong_json(value, kind: type, what: str) -> ValueError:
-    return ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
-
-
-def _json(value, kind: type, what: str):
-    """``value`` if it has the JSON type ``kind`` (a key of ``_JSON_KINDS``),
-    else ``ValueError`` naming ``what``.  A JSON true or false is no integer."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise _wrong_json(value, kind, what)
+        raise _wrong_type(what, value, kind)
     return value
+
+
+def _load_json(path, what: str):
+    """The JSON value in the file at ``path``, or a one-line ``ValueError``
+    naming the file as ``what`` when it is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
 
 
 def _whole(what: str, value, low: int, optional: bool = False):
@@ -123,7 +128,7 @@ def _read(what: str, data, keys, required=()) -> dict:
     ``what``; absent keys stay absent, so defaults live on the dataclasses."""
     if not isinstance(keys, dict):
         keys = dict(zip(keys, keys))
-    for key in _json(data, dict, what):
+    for key in _check_type(what, data, dict):
         if key not in keys:
             raise ValueError(f"{what} has unknown key {key!r}")
     for key in required:

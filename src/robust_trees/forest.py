@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import CriterionSpec
-from .errors import _check_type, _class_count, _json, _read, _whole
+from .errors import _check_type, _class_count, _load_json, _read, _whole
 from .tree import (Tree, TreeParams, _fit_inputs, _fit_trees, _leaf_of, _row,
                    _too_few_columns, predict_batch, tree_from_dict, tree_stats, tree_to_dict)
 
@@ -147,7 +147,7 @@ def forest_from_dict(data: dict) -> Forest:
     p["criterion"] = CriterionSpec.from_dict(p["criterion"])
     own = {name: p.pop(name) for name in list(p) if name in _OWN_PARAMS}
     params = ForestParams(TreeParams(**p), **own)
-    k, entries = _class_count(_json(model["K"], int, "K")), _json(model["trees"], list, "trees")
+    k, entries = _class_count(model["K"]), _check_type("trees", model["trees"], list)
     if len(entries) != params.n_trees:
         raise ValueError(f"forest params give n_trees {params.n_trees}, the model has"
                          f" {len(entries)} trees")
@@ -173,5 +173,4 @@ def save_forest(forest: Forest, path) -> None:
 
 
 def load_forest(path) -> Forest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return forest_from_dict(json.load(fh))
+    return forest_from_dict(_load_json(path, "model"))

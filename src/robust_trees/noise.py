@@ -93,11 +93,10 @@ class NoiseSpec:
                       optional=name == "ridge")
 
     def label(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform({self.eta:g})"
-        if self.kind == "binary_cc":
-            return f"binary_cc({self.rho_pos:g},{self.rho_neg:g})"
-        return "mahalanobis"
+        """The kind, then its given parameters in parentheses, if any."""
+        given = [f"{getattr(self, name):g}" for name in _KIND_PARAMS[self.kind]
+                 if getattr(self, name) is not None]
+        return f"{self.kind}({','.join(given)})" if given else self.kind
 
     def transition(self, n_classes: int, features=None, labels=None) -> TransitionMatrix:
         if self.kind == "uniform":
@@ -109,13 +108,6 @@ class NoiseSpec:
         if features is None or labels is None:
             raise ValueError("mahalanobis noise needs the training features and labels")
         return mahalanobis_matrix(features, labels, ridge=self.ridge)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in _KIND_PARAMS[self.kind]:
-            if getattr(self, name) is not None:
-                d[name] = getattr(self, name)
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseSpec":

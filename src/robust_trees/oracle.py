@@ -138,7 +138,7 @@ def brute_force_impurity(
         raise EmptyHistogramError("cannot minimize the risk of an empty node")
     if dataset_size is None:
         dataset_size = total
-    weight = total / dataset_size
+    weight = total / _whole("dataset_size", dataset_size, total)
     if loss == "ne":
         _interval("mu", mu, 0.0, brackets="[)")
         if hist.n_classes != 2:

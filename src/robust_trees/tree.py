@@ -71,11 +71,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
 from .criteria import CriterionSpec, split_scores
-from .errors import _class_count, _json, _labelled, _read, _whole, _wrong_json
+from .errors import (_check_type, _class_count, _labelled, _load_json, _read, _whole,
+                     _wrong_type)
 
 
 @dataclass(frozen=True)
@@ -635,14 +637,14 @@ def tree_from_dict(data: dict) -> Tree:
     """
     model = _read("tree model", data, _TREE_KEYS, _TREE_KEYS)
     spec = CriterionSpec.from_dict(model["criterion"])
-    k = _class_count(_json(model["K"], int, "K"))
-    entries = _json(model["nodes"], list, "nodes")
+    k = _class_count(model["K"])
+    entries = _check_type("nodes", model["nodes"], list)
     if not entries:
         raise ValueError("tree model has no nodes")
     at, splits, leaves = [], [], []  # the splits' node ids and fields, the leaves' counts
     for nid, entry in enumerate(entries):
         if not isinstance(entry, dict):  # inline: the message is built only on failure
-            raise _wrong_json(entry, dict, f"node {nid}")
+            raise _wrong_type(f"node {nid}", entry, dict)
         try:
             kind = entry["kind"]
             if kind == "split":
@@ -652,7 +654,7 @@ def tree_from_dict(data: dict) -> Tree:
             elif kind == "leaf":
                 counts = entry["counts"]
                 if not isinstance(counts, list):
-                    raise _wrong_json(counts, list, f"node {nid}: counts")
+                    raise _wrong_type(f"node {nid}: counts", counts, list)
                 if len(counts) != k:
                     raise ValueError(f"node {nid}: counts has {len(counts)} entries, K is {k}")
                 leaves.append(counts)
@@ -686,8 +688,8 @@ def tree_from_dict(data: dict) -> Tree:
             ("a count", flat, {int}, leaf_counts, ...)):
         if not kinds.issuperset(map(type, column)):
             i = next(i for i, value in enumerate(column) if type(value) not in kinds)
-            raise _wrong_json(column[i], float if kinds is number else int,
-                              f"node {node(column, i)}: {what}")
+            raise _wrong_type(f"node {node(column, i)}: {what}", column[i],
+                              Real if kinds is number else Integral)
         try:
             array[rows] = np.array(column, dtype=array.dtype).reshape(-1, *array.shape[1:])
         except OverflowError:  # an integer beyond int64, or beyond float64 for a threshold
@@ -722,6 +724,5 @@ def save_tree(tree: Tree, path) -> None:
 
 
 def load_tree(path) -> Tree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
+    return tree_from_dict(_load_json(path, "model"))
 

@@ -279,9 +279,9 @@ class TestPredict:
         ({"criterion": {"kind": "gini"}, "K": 2, "nodes": 5},
          "nodes must be a JSON array, got int"),
         ({"criterion": {"kind": "gini"}, "K": [2], "nodes": []},
-         "K must be a JSON integer, got list"),
+         "K must be an integer, got list"),
         ({"criterion": {"kind": "gini"}, "K": 2.5, "nodes": [{"kind": "leaf", "counts": [1, 1]}]},
-         "K must be a JSON integer, got float"),
+         "K must be an integer, got float"),
         ({"criterion": {"kind": "gini"}, "K": 2, "nodes": [{"kind": "leaf", "counts": 5}]},
          "node 0: counts must be a JSON array, got int"),
         ({"params": [], "K": 2, "trees": []}, "forest params must be a JSON object, got list"),
@@ -315,27 +315,27 @@ class TestPredict:
             {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2, **split},
             {"kind": "leaf", "counts": counts}, {"kind": "leaf", "counts": [0, 1]}]}, message)
           for split, counts, message in [
-              ({"feature": 1.5}, [1, 1], "node 0: feature must be a JSON integer, got float"),
-              ({"feature": True}, [1, 1], "node 0: feature must be a JSON integer, got bool"),
-              ({"threshold": "0.5"}, [1, 1], "node 0: threshold must be a JSON number, got str"),
-              ({"threshold": True}, [1, 1], "node 0: threshold must be a JSON number, got bool"),
-              ({"left": True}, [1, 1], "node 0: left must be a JSON integer, got bool"),
-              ({"left": 1.9}, [1, 1], "node 0: left must be a JSON integer, got float"),
-              ({"right": 2.0}, [1, 1], "node 0: right must be a JSON integer, got float"),
-              ({}, [3.7, 1], "node 1: a count must be a JSON integer, got float"),
-              ({}, ["3", 1], "node 1: a count must be a JSON integer, got str"),
-              ({}, [1, False], "node 1: a count must be a JSON integer, got bool"),
+              ({"feature": 1.5}, [1, 1], "node 0: feature must be an integer, got float"),
+              ({"feature": True}, [1, 1], "node 0: feature must be an integer, got bool"),
+              ({"threshold": "0.5"}, [1, 1], "node 0: threshold must be a real number, got str"),
+              ({"threshold": True}, [1, 1], "node 0: threshold must be a real number, got bool"),
+              ({"left": True}, [1, 1], "node 0: left must be an integer, got bool"),
+              ({"left": 1.9}, [1, 1], "node 0: left must be an integer, got float"),
+              ({"right": 2.0}, [1, 1], "node 0: right must be an integer, got float"),
+              ({}, [3.7, 1], "node 1: a count must be an integer, got float"),
+              ({}, ["3", 1], "node 1: a count must be an integer, got str"),
+              ({}, [1, False], "node 1: a count must be an integer, got bool"),
           ]),
         ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}}, "K": 2,
           "trees": [{"criterion": {"kind": "gini"}, "K": 2, "nodes": [
               {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2},
               {"kind": "leaf", "counts": [1, 1]}, {"kind": "leaf", "counts": [0, 1.0]}]}]},
-         "tree 0: node 2: a count must be a JSON integer, got float"),
+         "tree 0: node 2: a count must be an integer, got float"),
         ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}}, "K": 2,
           "trees": [{"criterion": {"kind": "gini"}, "K": 2, "nodes": [
               {"kind": "split", "feature": True, "threshold": 0.5, "left": 1, "right": 2},
               {"kind": "leaf", "counts": [1, 1]}, {"kind": "leaf", "counts": [0, 1]}]}]},
-         "tree 0: node 0: feature must be a JSON integer, got bool"),
+         "tree 0: node 0: feature must be an integer, got bool"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, blob_csv, capsys, content, message):
         model = tmp_path / "model.json"
@@ -388,11 +388,11 @@ class TestPredict:
 
     @pytest.mark.parametrize("content, message", [
         ({"criterion": {"kind": "gini"}, "K": True, "nodes": [{"kind": "leaf", "counts": [3]}]},
-         "K must be a JSON integer, got bool"),
+         "K must be an integer, got bool"),
         ({"criterion": {"kind": "gini"}, "K": 1, "nodes": [{"kind": "leaf", "counts": [3]}]},
          "K must be >= 2, got 1"),
         ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
-          "K": False, "trees": []}, "K must be a JSON integer, got bool"),
+          "K": False, "trees": []}, "K must be an integer, got bool"),
         ({"params": {"n_trees": 1, "bootstrap": True, "criterion": {"kind": "gini"}},
           "K": 1, "trees": []}, "K must be >= 2, got 1"),
     ], ids=["tree-bool", "tree-one-class", "forest-bool", "forest-one-class"])
@@ -543,6 +543,38 @@ class TestTune:
         assert captured.err.endswith("error: validation_fraction must lie in (0, 1), got 1.5\n")
 
 
+class TestUndecodableFile:
+    """A file that is not UTF-8, or not JSON where JSON is read, exits 1 with
+    one line that names it."""
+
+    @pytest.mark.parametrize("content", [b"not json", b"\xff{}"], ids=["not-json", "not-utf-8"])
+    def test_model(self, blob_csv, tmp_path, capsys, content):
+        bad = tmp_path / "m.json"
+        bad.write_bytes(content)
+        code = main(["predict", "--model", str(bad), "--data", str(blob_csv), "--format", "csv"])
+        self._check(capsys, code, f"model {bad} is not UTF-8 JSON: ")
+
+    def test_config(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_text('{"dataset": {"path": "x.csv",}}')
+        code = main(["bench", "--config", str(bad), "--out", str(tmp_path / "r.csv")])
+        self._check(capsys, code, f"config {bad} is not UTF-8 JSON: Expecting property name")
+
+    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    def test_data(self, tmp_path, capsys, fmt):
+        bad = tmp_path / f"data.{fmt}"
+        bad.write_bytes(b"\xfflabel\n")
+        code = main(["train", "--data", str(bad), "--format", fmt, "--criterion", "gini",
+                     "--out", str(tmp_path / "m.json")])
+        self._check(capsys, code, f"{bad}: not UTF-8: ")
+
+    @staticmethod
+    def _check(capsys, code, start):
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {start}") and captured.err.count("\n") == 1
+
+
 def _bench_config(tmp_path, data_path, reps=2, **overrides):
     """Write a bench config; an override of None drops that key."""
     config = {
@@ -577,7 +609,8 @@ class TestBench:
     @pytest.mark.parametrize("data, noise, label", [
         ("blob_csv", {"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3}, "binary_cc(0.1,0.3)"),
         ("three_class_csv", {"kind": "mahalanobis"}, "mahalanobis"),
-    ], ids=["binary_cc", "mahalanobis"])
+        ("three_class_csv", {"kind": "mahalanobis", "ridge": 0.5}, "mahalanobis(0.5)"),
+    ], ids=["binary_cc", "mahalanobis", "mahalanobis-ridge"])
     def test_noise_column_names_the_kind(self, request, tmp_path, capsys, data, noise, label):
         config = _bench_config(tmp_path, request.getfixturevalue(data), reps=1, noise=[noise])
         out = tmp_path / "results.csv"
@@ -585,6 +618,27 @@ class TestBench:
         assert code == 0 and status["records"] == 2
         rows = csv.DictReader(out.read_text().splitlines())
         assert [row["noise"] for row in rows] == [label, label]
+
+    @pytest.mark.parametrize("data, setting", [
+        ("blob_csv", {"criteria": [{"kind": "gce", "q": 0.3}, {"kind": "gce", "q": 0.9}]}),
+        ("three_class_csv", {"noise": [{"kind": "mahalanobis", "ridge": 0.1},
+                                       {"kind": "mahalanobis", "ridge": 50.0}]}),
+    ], ids=["gce-q", "mahalanobis-ridge"])
+    def test_settings_of_one_kind_get_a_summary_row_each(self, request, tmp_path, capsys,
+                                                          data, setting):
+        config = _bench_config(tmp_path, request.getfixturevalue(data), reps=2, **setting)
+        out = tmp_path / "results.csv"
+        code, status = run_cli(capsys, "bench", "--config", str(config), "--out", str(out))
+        assert code == 0 and status["records"] == 8
+        cells = {}
+        for row in csv.DictReader(out.read_text().splitlines()):
+            key = (row["criterion"], row["params"], row["noise"])
+            cells.setdefault(key, []).append(float(row["accuracy"]))
+        summary = list(csv.DictReader((tmp_path / "summary.csv").read_text().splitlines()))
+        assert len(cells) == len(summary) == 4  # 2 criteria x 2 noise settings, in config order
+        for ((criterion, _, noise), accs), row in zip(cells.items(), summary):
+            assert (row["criterion"], row["noise"], row["replications"]) == (criterion, noise, "2")
+            assert float(row["mean_accuracy"]) == float(np.mean(accs))
 
     @pytest.mark.parametrize("out, summary", [("summary.csv", None), ("r.csv", "./r.csv")],
                              ids=["default-summary", "same-path"])
@@ -661,11 +715,11 @@ class TestBench:
         ({"criteria": [{"kind": "ane", "lambda": 0.5}]},
          "error: criterion has unknown key 'lambda'"),
         ({"dataset": {"path": 5, "format": "csv"}},
-         "error: dataset path must be a JSON string, got int"),
+         "error: dataset path must be a string, got int"),
         ({"dataset": {"path": "x.csv", "format": "csv", "label_map": ["x"]}},
          "error: label_map must be a JSON object, got list"),
         ({"dataset": {"path": "x.csv", "format": "csv", "label_map": {"a": ["b"]}}},
-         "error: label_map value must be a JSON string, got list"),
+         "error: label_map value must be a string, got list"),
         ({"replicatons": 2}, "error: experiment config has unknown key 'replicatons'"),
         ({"dataset": {"path": "x.csv", "format": "csv", "lable_column": "y"}},
          "error: dataset has unknown key 'lable_column'"),

@@ -84,6 +84,13 @@ class TestImpurityValues:
         with pytest.raises(ValueError):
             impurity(CriterionSpec("gini"), hist(3, 3), 4)
 
+    @pytest.mark.parametrize("size, message", [
+        (5.5, "dataset_size must be an integer, got float"), (3, "dataset_size must be >= 4, got 3"),
+    ])
+    def test_dataset_size_is_a_whole_number_no_smaller_than_the_node(self, size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            impurity(CriterionSpec("gini"), hist(2, 2), size)
+
     def test_twoing_has_no_node_impurity(self):
         with pytest.raises(ValueError):
             impurity(CriterionSpec("twoing"), hist(1, 1), 2)
@@ -123,6 +130,11 @@ class TestRiskReduction:
         with pytest.raises(EmptyHistogramError):
             risk_reduction(CriterionSpec("gini"), hist(4, 2), hist(4, 2), hist(0, 0), 6)
 
+    @pytest.mark.parametrize("size", [0, 1, 3, 4.0])
+    def test_dataset_size_is_a_whole_number_no_smaller_than_the_parent(self, size):
+        with pytest.raises(ValueError, match="^dataset_size must be "):
+            risk_reduction(CriterionSpec("gini"), hist(2, 2), hist(2, 0), hist(0, 2), size)
+
     @given(
         counts=counts_vectors,
         fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5),
@@ -153,6 +165,13 @@ class TestTwoing:
     def test_zero_iff_equal_distributions(self):
         assert twoing_score(hist(2, 2), hist(4, 4), 12) == 0.0
         assert twoing_score(hist(4, 0), hist(0, 4), 8) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("size", [0, -3, 3])
+    def test_dataset_size_is_a_whole_number_no_smaller_than_the_node(self, size):
+        with pytest.raises(ValueError, match="^dataset_size must be >= 4, got "):
+            twoing_score(hist(2, 0), hist(0, 2), size)
+        with pytest.raises(ValueError, match="^dataset_size must be >= 6, got "):
+            twoing_score(np.array([[2, 0], [3, 3]]), np.array([[0, 2], [0, 0]]), size)
 
     def test_matches_closed_form(self):
         # (W_L W_R / 4) (sum |p_L - p_R|)^2 with W_L = 0.5, W_R = 0.5

@@ -521,6 +521,19 @@ class TestAggregation:
         summary = aggregate([TestAggregation._rec(0.8), TestAggregation._rec(0.9)])
         assert summary[0]["two_sd"] == pytest.approx(2 * np.std([0.8, 0.9], ddof=1))
 
+    def test_a_parameter_is_a_setting_and_a_tuned_lambda_is_not(self):
+        from robust_trees.dataeng import ResultRecord
+
+        summary = aggregate([ResultRecord("d", criterion, params, "uniform(0.1)", 1, acc,
+                                          3, 2, 1, 0.0)
+                             for criterion, params, acc in [
+                                 ("gce", "q=0.3", 0.5), ("gce", "q=0.9", 0.7),
+                                 ("gce", "q=0.3", 0.6), ("ane", "lambda=0.25", 0.8),
+                                 ("ane", "lambda=1", 0.9)]])
+        assert [(cell["criterion"], cell["replications"]) for cell in summary] == [
+            ("gce", 2), ("gce", 1), ("ane", 2)]
+        assert [cell["mean_accuracy"] for cell in summary] == pytest.approx([0.55, 0.7, 0.85])
+
     @staticmethod
     def _rec(acc):
         from robust_trees.dataeng import ResultRecord

@@ -193,7 +193,7 @@ class TestMahalanobisMatrix:
         assert spec.label() == "uniform(0.4)"
         assert np.allclose(spec.transition(2).eta, [[0.6, 0.4], [0.4, 0.6]])
         cc = NoiseSpec.from_dict({"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3})
-        assert cc.to_dict() == {"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3}
+        assert (cc.kind, cc.rho_pos, cc.rho_neg) == ("binary_cc", 0.1, 0.3)
 
 
 class TestNoiseSpec:
@@ -223,7 +223,16 @@ class TestNoiseSpec:
 
     def test_a_default_value_of_a_parameter_the_kind_does_not_take_passes(self):
         spec = NoiseSpec.from_dict({"kind": "mahalanobis", "eta": 0.0, "ridge": 0.5})
-        assert spec.to_dict() == {"kind": "mahalanobis", "ridge": 0.5}
+        assert (spec.kind, spec.eta, spec.ridge) == ("mahalanobis", 0.0, 0.5)
+
+    @pytest.mark.parametrize("setting, label", [
+        ({"kind": "uniform", "eta": 0.3}, "uniform(0.3)"),
+        ({"kind": "binary_cc", "rho_pos": 0.1, "rho_neg": 0.3}, "binary_cc(0.1,0.3)"),
+        ({"kind": "mahalanobis"}, "mahalanobis"),
+        ({"kind": "mahalanobis", "ridge": 0.5}, "mahalanobis(0.5)"),
+    ])
+    def test_label_lists_the_given_parameters(self, setting, label):
+        assert NoiseSpec.from_dict(setting).label() == label
 
 
 class TestHoeffding:

@@ -68,6 +68,14 @@ class TestBruteForceImpurity:
         half = brute_force_impurity("mse", hist(2, 2), dataset_size=8)
         assert half == pytest.approx(full / 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("size, message", [
+        (0, "dataset_size must be >= 4, got 0"), (2, "dataset_size must be >= 4, got 2"),
+        (8.0, "dataset_size must be an integer, got float"),
+    ])
+    def test_dataset_size_is_a_whole_number_no_smaller_than_the_node(self, size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            brute_force_impurity("mse", hist(2, 2), dataset_size=size)
+
     def test_ne_requires_binary(self):
         with pytest.raises(ValueError):
             brute_force_impurity("ne", hist(1, 1, 1), mu=1.0)
