@@ -35,10 +35,10 @@ from .forest import (
     fit_forest,
     forest_from_dict,
     forest_to_dict,
-    load_forest,
+    load_model,
     predict_forest,
     predict_forest_batch,
-    save_forest,
+    save_model,
 )
 from .noise import (
     NoiseSpec,
@@ -64,7 +64,6 @@ from .tree import (
     load_tree,
     predict,
     predict_batch,
-    save_tree,
     tree_from_dict,
     tree_stats,
     tree_to_dict,

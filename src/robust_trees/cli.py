@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataeng, forest as forest_mod, noise as noise_mod, tree as tree_mod
+from . import dataeng, noise as noise_mod
 from .criteria import KINDS, CriterionSpec
 from .dataeng import DEFAULT_LAMBDA_GRID, DEFAULT_VALIDATION_FRACTION, Dataset, ModelConfig
-from .errors import _load_json
+from .errors import _whole
+from .forest import _model_predictions, _model_stats, load_model, save_model
 from .verify import SUITES
 
 
@@ -54,10 +55,13 @@ def _model_config_from_args(parser: argparse.ArgumentParser, args) -> ModelConfi
 
 
 def _seed(text: str) -> int:
-    """The argparse type of every --seed flag: an integer >= 0."""
+    """The argparse type of every --seed flag: an integer >= 0 that fits int64."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"a seed must be an integer >= 0, got {text!r}")
-    return int(text)
+    try:
+        return _whole("a seed", int(text), 0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_data_flags(sub):
@@ -142,8 +146,8 @@ def cmd_train(parser, args) -> int:
     ds = _load_dataset(args)
     fitted = dataeng._fit_model(model_cfg, spec, ds.features, ds.labels,
                                 ds.n_classes, args.seed)
-    dataeng._save_model(fitted, args.out)
-    stats = dataeng._model_stats(fitted)
+    save_model(fitted, args.out)
+    stats = _model_stats(fitted)
     acc = dataeng.accuracy_score(fitted, ds.features, ds.labels)
     _status({
         "command": "train", "criterion": spec.label(), "model": model_cfg.kind,
@@ -153,15 +157,8 @@ def cmd_train(parser, args) -> int:
     return 0
 
 
-def _load_model(path):
-    data = _load_json(path, "model")
-    if isinstance(data, dict) and "trees" in data:
-        return forest_mod.forest_from_dict(data)
-    return tree_mod.tree_from_dict(data)
-
-
 def cmd_predict(parser, args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     if args.no_labels:
         if args.format != "csv":
             parser.error("--no-labels applies to csv input only")
@@ -175,7 +172,7 @@ def cmd_predict(parser, args) -> int:
             raise ValueError(f"the data has {ds.n_classes} classes, more than the"
                              f" model's {model.n_classes}")
         X, y = ds.features, ds.labels
-    classes, dists = dataeng._model_predictions(model, X)
+    classes, dists = _model_predictions(model, X)
     if args.out:
         dataeng.write_csv(args.out, ["prediction"] + [f"p{k}" for k in range(dists.shape[1])],
                           ([int(c)] + [repr(float(v)) for v in dist]

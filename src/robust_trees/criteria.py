@@ -347,11 +347,14 @@ def twoing_score(
 
     Maximized in place of risk reduction when the criterion kind is
     ``twoing``; zero exactly when both children carry the same class
-    distribution.  Accepts stacked count matrices for vectorized use.
+    distribution.  Accepts stacked count matrices for vectorized use.  An
+    empty child raises ``EmptyHistogramError``, as in :func:`risk_reduction`.
     """
     lc = np.asarray(left.counts if isinstance(left, ClassHistogram) else left)
     rc = np.asarray(right.counts if isinstance(right, ClassHistogram) else right)
     _whole("dataset_size", dataset_size, int(_class_sum(lc + rc).max()))
+    if not ((_class_sum(lc) > 0) & (_class_sum(rc) > 0)).all():
+        raise EmptyHistogramError("twoing score needs nonempty children")
     score = split_scores(CriterionSpec("twoing"), lc + rc, lc, dataset_size)
     return float(score) if np.ndim(score) == 0 else score
 

@@ -25,9 +25,9 @@ import numpy as np
 
 from .criteria import CriterionSpec
 from .errors import _check_type, _from_json, _interval, _labelled, _load_json, _read, _whole
-from .forest import ForestParams, fit_forest, forest_stats, predict_forest_batch, save_forest
+from .forest import ForestParams, _model_predictions, _model_stats, fit_forest
 from .noise import NoiseSpec, corrupt
-from .tree import Tree, TreeParams, fit, predict_batch, save_tree, tree_stats
+from .tree import TreeParams, fit
 
 SUMMARY_HEADER = [
     "dataset", "criterion", "noise", "replications", "mean_accuracy", "two_sd",
@@ -339,19 +339,6 @@ def _fit_model(model: ModelConfig, spec: CriterionSpec, X, y, n_classes: int, se
     return fitter(X, y, params, n_classes=n_classes)
 
 
-def _model_predictions(fitted, X) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted classes and class distributions of a tree or a forest."""
-    return (predict_batch if isinstance(fitted, Tree) else predict_forest_batch)(fitted, X)
-
-
-def _model_stats(fitted) -> dict:
-    return tree_stats(fitted) if isinstance(fitted, Tree) else forest_stats(fitted)
-
-
-def _save_model(fitted, path) -> None:
-    (save_tree if isinstance(fitted, Tree) else save_forest)(fitted, path)
-
-
 def accuracy_score(fitted, X, y) -> float:
     return float((_model_predictions(fitted, X)[0] == np.asarray(y)).mean())
 
@@ -447,6 +434,7 @@ class ExperimentConfig:
         for name in ("split_seed", "seed"):
             _whole(name, getattr(self, name), 0)
         _whole("replications", self.replications, 1)
+        _check_type("dataset name", self.dataset_name, str, optional=True)
         _check_validation_fraction(self.validation_fraction)
         if not self.criteria or not self.noise:
             raise ValueError("need at least one criterion and one noise setting")

@@ -50,10 +50,11 @@ def _load_json(path, what: str):
 
 
 def _whole(what: str, value, low: int, optional: bool = False):
-    """``value`` if it is an integer >= ``low`` (or None when ``optional``), else ``ValueError``."""
+    """``value`` if an integer in [``low``, 2**63) (None if ``optional``), else ``ValueError``."""
     _check_type(what, value, Integral, optional)
-    if value is not None and value < low:
-        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if value is not None and not low <= value < 2**63:
+        raise ValueError(f"{what} must be >= {low}, got {value}" if value < low
+                         else f"{what} is out of range for int64, got {value}")
     return value
 
 

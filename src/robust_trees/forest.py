@@ -22,8 +22,8 @@ import numpy as np
 
 from .criteria import CriterionSpec
 from .errors import _check_type, _class_count, _load_json, _read, _whole
-from .tree import (Tree, TreeParams, _fit_inputs, _fit_trees, _leaf_of, _row,
-                   _too_few_columns, predict_batch, tree_from_dict, tree_stats, tree_to_dict)
+from .tree import (Tree, TreeParams, _fit_inputs, _fit_trees, _leaf_of, _matrix, _row,
+                   predict_batch, tree_from_dict, tree_stats, tree_to_dict)
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,26 @@ class ForestParams:
 
 @dataclass
 class Forest:
-    """Fitted trees; ``min_columns``, the widest of their ``min_columns``, is
-    derived on construction, as a :class:`Tree` derives its own."""
+    """Fitted trees, ``params.n_trees`` of them with the forest's K and criterion, checked on
+    construction; ``min_columns``, the widest of theirs, is derived, as a Tree derives its own."""
 
     params: ForestParams
     n_classes: int
-    trees: list[Tree] = field(default_factory=list)
+    trees: list[Tree]
     min_columns: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.min_columns = max((tree.min_columns for tree in self.trees), default=0)
+        if len(self.trees) != self.params.n_trees:
+            raise ValueError(f"forest params give n_trees {self.params.n_trees}, the model has"
+                             f" {len(self.trees)} trees")
+        k, spec = self.n_classes, self.params.tree_params.criterion
+        for i, tree in enumerate(self.trees):
+            if tree.n_classes != k:
+                raise ValueError(f"tree {i}: K is {tree.n_classes}, the forest's K is {k}")
+            if tree.criterion != spec:
+                raise ValueError(f"tree {i}: criterion is {tree.criterion.label()}, the forest's"
+                                 f" is {spec.label()}")
+        self.min_columns = max(tree.min_columns for tree in self.trees)
 
 
 def fit_forest(features, labels, params: ForestParams, n_classes: int | None = None) -> Forest:
@@ -84,24 +94,17 @@ def predict_forest(forest: Forest, x) -> tuple[int, np.ndarray]:
     so the answer equals that function's row for ``x`` bit for bit, the
     first maximum (lowest index) winning a tie as ``np.argmax`` does.
     """
-    trees = forest.trees
-    if not trees:
-        raise ValueError("cannot predict with an empty forest")
     row = _row(x, forest.min_columns)
     acc = [0.0] * forest.n_classes
-    for tree in trees:
+    for tree in forest.trees:
         for c, p in enumerate(tree.distribution[_leaf_of(tree._walk, row)].tolist()):
             acc[c] += p
-    acc = [a / len(trees) for a in acc]
+    acc = [a / len(forest.trees) for a in acc]
     return acc.index(max(acc)), np.array(acc)
 
 
 def predict_forest_batch(forest: Forest, features) -> tuple[np.ndarray, np.ndarray]:
-    if not forest.trees:
-        raise ValueError("cannot predict with an empty forest")
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] < forest.min_columns:
-        raise _too_few_columns(forest.min_columns, X.shape)
+    X = _matrix(features, forest.min_columns)
     acc = np.zeros((X.shape[0], forest.n_classes), dtype=np.float64)
     for tree in forest.trees:
         acc += predict_batch(tree, X)[1]
@@ -139,8 +142,8 @@ def forest_to_dict(forest: Forest) -> dict:
 
 def forest_from_dict(data: dict) -> Forest:
     """Build a forest from its JSON form; a malformed model, an unknown key,
-    or params that disagree with the trees (their number or criterion)
-    raise ``ValueError``.  An optional param left out takes the default of
+    or params that disagree with the trees (see :class:`Forest`) raise
+    ``ValueError``.  An optional param left out takes the default of
     :class:`ForestParams` or :class:`TreeParams`."""
     model = _read("forest model", data, _FOREST_KEYS, _FOREST_KEYS)
     p = _read("forest params", model["params"], _PARAMS_KEYS, ("n_trees", "bootstrap", "criterion"))
@@ -148,29 +151,33 @@ def forest_from_dict(data: dict) -> Forest:
     own = {name: p.pop(name) for name in list(p) if name in _OWN_PARAMS}
     params = ForestParams(TreeParams(**p), **own)
     k, entries = _class_count(model["K"]), _check_type("trees", model["trees"], list)
-    if len(entries) != params.n_trees:
-        raise ValueError(f"forest params give n_trees {params.n_trees}, the model has"
-                         f" {len(entries)} trees")
     trees = []
     for i, entry in enumerate(entries):
         try:
-            tree = tree_from_dict(entry)
-            if tree.n_classes != k:
-                raise ValueError(f"K is {tree.n_classes}, the forest's K is {k}")
-            if tree.criterion != params.tree_params.criterion:
-                raise ValueError(f"criterion is {tree.criterion.label()}, the forest's is"
-                                 f" {params.tree_params.criterion.label()}")
+            trees.append(tree_from_dict(entry))
         except ValueError as exc:
             raise ValueError(f"tree {i}: {exc}") from None
-        trees.append(tree)
     return Forest(params=params, n_classes=k, trees=trees)
 
 
-def save_forest(forest: Forest, path) -> None:
+def save_model(model: Tree | Forest, path) -> None:
+    """Write a tree or a forest to ``path`` as one line of JSON."""
+    data = forest_to_dict(model) if isinstance(model, Forest) else tree_to_dict(model)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(forest_to_dict(forest), fh)
-        fh.write("\n")
+        fh.write(json.dumps(data) + "\n")
 
 
-def load_forest(path) -> Forest:
-    return forest_from_dict(_load_json(path, "model"))
+def load_model(path) -> Tree | Forest:
+    """The model at ``path``: a forest if its JSON object has a ``trees`` key, else a tree."""
+    data = _load_json(path, "model")
+    forest = isinstance(data, dict) and "trees" in data
+    return (forest_from_dict if forest else tree_from_dict)(data)
+
+
+def _model_predictions(model: Tree | Forest, X) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted classes and class distributions of a tree or a forest."""
+    return (predict_forest_batch if isinstance(model, Forest) else predict_batch)(model, X)
+
+
+def _model_stats(model: Tree | Forest) -> dict:
+    return forest_stats(model) if isinstance(model, Forest) else tree_stats(model)

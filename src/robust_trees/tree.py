@@ -51,14 +51,12 @@ lower value when the midpoint is not in [lower, upper) (it rounds onto the
 upper value between adjacent floats, and overflows between huge ones), so
 both children are nonempty.  Rows equal to a threshold route left.
 
-A fitted :class:`Tree` is five parallel arrays over its nodes: ``feature``
-(-1 at leaves), ``threshold``, ``left`` and ``right`` (-1 at leaves) and
-``counts`` (the training class counts at leaves, zero rows at splits).
-Nodes are renumbered at the end of a fit to depth-first preorder, the order
-a purely depth-first grower makes them in: the root is 0, a split's left
-subtree comes before its right one, and every child is numbered after its
-parent.  That last invariant, which ``tree_from_dict`` checks, bounds every
-walk from the root; batch prediction moves all rows down one depth per step.
+The nodes of a fitted :class:`Tree` (parallel arrays) are renumbered at the
+end of a fit to depth-first preorder, the order a purely depth-first grower
+makes them in: the root is 0, a split's left subtree comes before its right
+one, and every child is numbered after its parent.  That last invariant,
+which every ``Tree`` checks, bounds every walk from the root; batch
+prediction moves all rows down one depth per step.
 A single row walks instead, one node per step (:func:`_leaf_of`): it reads
 the row's values as Python floats from a ``memoryview`` and the nodes from
 the tree's ``_walk`` tuples, and compares them by the same ``<=``, so it
@@ -68,7 +66,6 @@ for one row on Python floats in tree order, as the batch adds them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral, Real
@@ -97,11 +94,11 @@ class TreeParams:
 
 @dataclass(eq=False)
 class Tree:
-    """A fitted tree as parallel arrays over its nodes, in depth-first preorder.
-
-    ``distribution``, ``predicted_class``, ``min_columns`` and the one-row
-    walk are derived from the arrays on construction and never serialized.
-    """
+    """A fitted tree as parallel arrays over its nodes, in depth-first preorder, checked on
+    construction: a split's threshold is finite and its children follow it below the node
+    count, every other node is the child of one split, and leaf counts are nonnegative with a
+    positive total.  ``distribution``, ``predicted_class``, ``min_columns`` and the one-row
+    walk are then derived, and never serialized."""
 
     criterion: CriterionSpec
     n_classes: int
@@ -120,7 +117,23 @@ class Tree:
             np.asarray(a, dtype=np.int64)
             for a in (self.feature, self.left, self.right, self.counts))
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        leaf = self.feature < 0
+        leaf, n = self.feature < 0, self.feature.size
+        at = np.flatnonzero(~leaf)
+        left, right = self.left[at], self.right[at]
+        bad = at[~np.isfinite(self.threshold[at]) | (np.minimum(left, right) <= at)
+                 | (np.maximum(left, right) >= n)]
+        if bad.size:
+            raise ValueError(f"node {bad[0]}: a split needs feature >= 0, a finite threshold"
+                             f" and both children numbered after it and below {n}")
+        parents = np.bincount(np.concatenate((left, right)), minlength=n)
+        bad = np.flatnonzero(parents[1:] != 1) + 1  # the root has none, as children follow parents
+        if bad.size:
+            raise ValueError(f"node {bad[0]}: the child of {parents[bad[0]]} splits, where every"
+                             " node but the root must be the child of exactly one")
+        bad = np.flatnonzero(leaf & ((self.counts < 0).any(axis=1) | (self.counts.sum(axis=1) < 1)))
+        if bad.size:
+            raise ValueError(f"node {bad[0]}: leaf counts must be nonnegative with a positive"
+                             " total")
         self.distribution = np.zeros(self.counts.shape)
         self.distribution[leaf] = self.counts[leaf] / self.counts[leaf].sum(axis=1, keepdims=True)
         self.predicted_class = self.distribution.argmax(axis=1)
@@ -555,6 +568,14 @@ def _row(x, min_columns: int) -> memoryview:
     return memoryview(x)
 
 
+def _matrix(features, min_columns: int) -> np.ndarray:
+    """``features`` as n x d float64 with d >= ``min_columns``, else ``ValueError``."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < min_columns:
+        raise _too_few_columns(min_columns, X.shape)
+    return X
+
+
 def _leaf_of(walk: list, row: memoryview) -> int:
     """The leaf a :func:`_row` reaches along ``Tree._walk``: each step
     compares a Python float with a threshold by the ``<=`` of batch routing."""
@@ -575,9 +596,7 @@ def predict(tree: Tree, x) -> tuple[int, np.ndarray]:
 
 def predict_batch(tree: Tree, features) -> tuple[np.ndarray, np.ndarray]:
     """Route an n x d matrix one depth per step; returns (classes, distributions)."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] < tree.min_columns:
-        raise _too_few_columns(tree.min_columns, X.shape)
+    X = _matrix(features, tree.min_columns)
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.flatnonzero(tree.feature[node] >= 0)
     while rows.size:
@@ -630,10 +649,8 @@ def tree_from_dict(data: dict) -> Tree:
     Raises ``ValueError`` naming the first offending part: a value of the
     wrong JSON type, an integer beyond int64 (beyond float64 for a threshold),
     K below 2, an unknown kind, an unknown or missing key, a split whose
-    feature is negative, whose threshold is not finite or whose children are
-    not numbered after it and inside the tree, a node other than the root
-    that is not the child of exactly one split, or leaf counts that are not
-    K nonnegative entries with a positive total.
+    feature is negative, leaf counts that are not K entries, or nodes that
+    break the rules a :class:`Tree` checks on construction.
     """
     model = _read("tree model", data, _TREE_KEYS, _TREE_KEYS)
     spec = CriterionSpec.from_dict(model["criterion"])
@@ -673,8 +690,8 @@ def tree_from_dict(data: dict) -> Tree:
     fields = tuple(zip(*splits)) or ((),) * 4
     flat = list(chain.from_iterable(leaves))  # K entries per leaf
     feature, left, right = np.full((3, n), -1)
-    # the leaves' counts only: the nodes x K array waits for every check, so a huge K
-    # allocates no more than the K-entry lists already read from the file
+    # the leaves' counts first: a huge K allocates no more than the K-entry lists
+    # already read from the file (see the nodes x K counts below)
     threshold, leaf_counts = np.zeros(n), np.zeros((len(leaves), k), dtype=np.int64)
     # each field's JSON type, then its range, one column at a time; a message is built
     # only on failure. A threshold may be an integer, or null, which reads as nan and
@@ -696,31 +713,17 @@ def tree_from_dict(data: dict) -> Tree:
             i = next(i for i, value in enumerate(column) if _overflows(value, array.dtype))
             raise ValueError(f"node {node(column, i)}: {what} is out of range"
                              f" for {array.dtype}") from None
-    ids = np.arange(n)
-    bad = np.flatnonzero(split & ((feature < 0) | ~np.isfinite(threshold)
-                                  | (np.minimum(left, right) <= ids)
-                                  | (np.maximum(left, right) >= n)))
-    if bad.size:
-        raise ValueError(f"node {bad[0]}: a split needs feature >= 0, a finite threshold"
-                         f" and both children numbered after it and below {n}")
-    parents = np.bincount(np.concatenate((left[split], right[split])), minlength=n)
-    bad = np.flatnonzero(parents[1:] != 1) + 1  # the root has none, as children follow parents
-    if bad.size:
-        raise ValueError(f"node {bad[0]}: the child of {parents[bad[0]]} splits, where every"
-                         " node but the root must be the child of exactly one")
-    bad = np.flatnonzero((leaf_counts < 0).any(axis=1) | (leaf_counts.sum(axis=1) <= 0))
-    if bad.size:
-        raise ValueError(f"node {np.flatnonzero(~split)[bad[0]]}: leaf counts must be"
-                         " nonnegative with a positive total")
-    counts = np.zeros((n, k), dtype=np.int64)
-    counts[~split] = leaf_counts
+    # a Tree reads a negative feature as a leaf, so a split's goes on as feature 0 with
+    # a nan threshold: that breaks the same split rule of Tree, whose error names the node
+    negative = split & (feature < 0)
+    feature[negative], threshold[negative] = 0, np.nan
+    # a tree has a leaf more than splits: a longer node list, which fails the
+    # checks of Tree before its counts are read, gets a zero view, not n x K zeros
+    counts = np.broadcast_to(np.int64(0), (n, k))
+    if n < 2 * len(leaves):
+        counts = np.zeros((n, k), dtype=np.int64)
+        counts[~split] = leaf_counts
     return Tree(spec, k, feature, threshold, left, right, counts)
-
-
-def save_tree(tree: Tree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh)
-        fh.write("\n")
 
 
 def load_tree(path) -> Tree:

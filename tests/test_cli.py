@@ -91,7 +91,10 @@ class TestTrain:
         (["--max-depth", "0"], "max_depth must be >= 1, got 0"),
         (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1, got 0"),
         (["--trees", "0"], "n_trees must be >= 1, got 0"),
-    ], ids=["max-depth", "min-samples-leaf", "trees"])
+        # unchecked, 2**70 trees ended in an OverflowError traceback
+        (["--forest", "--trees", str(2**70)], f"n_trees is out of range for int64, got {2**70}"),
+        (["--max-depth", str(2**63)], f"max_depth is out of range for int64, got {2**63}"),
+    ], ids=["max-depth", "min-samples-leaf", "trees", "trees-past-int64", "max-depth-past-int64"])
     def test_bad_model_flag_exits_2_before_reading_data(self, tmp_path, capsys, flags,
                                                          message):
         with pytest.raises(SystemExit) as exc:
@@ -425,12 +428,16 @@ class TestPredict:
         assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", [
+# every subcommand with a --seed flag
+_SEED_COMMANDS = pytest.mark.parametrize("command", [
     ["train", "--criterion", "gini", "--out", "m.json"],
     ["noise", "--kind", "uniform"],
     ["tune"],
     ["verify", "--suite", "noise"],
 ], ids=["train", "noise", "tune", "verify"])
+
+
+@_SEED_COMMANDS
 def test_negative_seed_flag_exits_2(blob_csv, capsys, command):
     data = [] if command[0] == "verify" else ["--data", str(blob_csv), "--format", "csv"]
     with pytest.raises(SystemExit) as exc:
@@ -438,6 +445,17 @@ def test_negative_seed_flag_exits_2(blob_csv, capsys, command):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: argument --seed: a seed must be an integer >= 0, got '-1'\n")
+
+
+@_SEED_COMMANDS
+def test_a_seed_past_int64_exits_2(blob_csv, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # unchecked, train wrote m.json
+    data = [] if command[0] == "verify" else ["--data", str(blob_csv), "--format", "csv"]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *data, "--seed", str(2**63)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --seed: a seed is out of range for int64, got {2**63}\n")
 
 
 class TestNoiseCommand:
@@ -728,6 +746,10 @@ class TestBench:
         ({"dataset": {"path": "x.csv"}}, "error: dataset is missing key 'format'"),
         ({"tuning": {"validation_fraction": 1.5}},
          "error: validation_fraction must lie in (0, 1), got 1.5"),
+        ({"dataset": {"path": "x.csv", "format": "csv", "name": 2}},
+         "error: dataset name must be a string, got int"),
+        ({"model": {"kind": "forest", "n_trees": 2**70}},
+         f"error: n_trees is out of range for int64, got {2**70}"),
     ], ids=["empty-grid", "lambda-out-of-range", "lambda-not-a-number", "string-grid",
             "cell-value-error", "string-max-depth", "string-bootstrap", "tree-string-bootstrap",
             "tree-string-n-trees", "model-before-missing-data", "negative-seed",
@@ -737,7 +759,8 @@ class TestBench:
             "string-train-fraction", "unknown-criterion-key", "ane-with-lambda",
             "numeric-path", "list-label-map", "list-label-map-value", "unknown-top-level-key",
             "unknown-dataset-key", "unknown-split-key", "unknown-tuning-key",
-            "dataset-without-format", "validation-fraction-out-of-range"])
+            "dataset-without-format", "validation-fraction-out-of-range", "numeric-name",
+            "n-trees-past-int64"])
     def test_bad_config_exits_1(self, blob_csv, tmp_path, capsys, overrides, message):
         config = _bench_config(tmp_path, blob_csv, **{"criteria": [{"kind": "ane"}], **overrides})
         code = main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")])

@@ -173,6 +173,12 @@ class TestTwoing:
         with pytest.raises(ValueError, match="^dataset_size must be >= 6, got "):
             twoing_score(np.array([[2, 0], [3, 3]]), np.array([[0, 2], [0, 0]]), size)
 
+    def test_an_empty_child_is_rejected_as_in_risk_reduction(self):
+        with pytest.raises(EmptyHistogramError, match="^twoing score needs nonempty children$"):
+            twoing_score(hist(2, 0), hist(0, 0), 2)
+        with pytest.raises(EmptyHistogramError, match="^twoing score needs nonempty children$"):
+            twoing_score(np.array([[2, 0], [3, 3]]), np.array([[0, 2], [0, 0]]), 8)
+
     def test_matches_closed_form(self):
         # (W_L W_R / 4) (sum |p_L - p_R|)^2 with W_L = 0.5, W_R = 0.5
         got = twoing_score(hist(3, 1), hist(1, 3), 8)

@@ -500,6 +500,22 @@ class TestExperimentConfig:
             assert dataset.parent == root / "data", path.name
             assert dataset.name in (root / "data" / "README.md").read_text(), path.name
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"replications": 2**70}, f"replications is out of range for int64, got {2**70}"),
+        ({"seed": 2**63}, f"seed is out of range for int64, got {2**63}"),
+        ({"model": {"kind": "forest", "n_trees": 2**70}},
+         f"n_trees is out of range for int64, got {2**70}"),
+        ({"dataset": {"path": "x.csv", "format": "csv", "name": 2}},
+         "dataset name must be a string, got int"),
+    ], ids=["replications", "seed", "n-trees", "numeric-name"])
+    def test_a_bad_setting_fails_as_the_config_is_read(self, overrides, message):
+        # read only: a bench of 2**70 replications would run until it is killed
+        config = {"dataset": {"path": "x.csv", "format": "csv"}, "criteria": [{"kind": "gini"}],
+                  "noise": [{"kind": "uniform", "eta": 0.1}], **overrides}
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_dict(config)
+        assert str(exc.value) == message
+
     def test_header_must_be_true_or_false(self):
         with pytest.raises(ValueError, match="header must be true or false, got str"):
             ExperimentConfig(dataset_path="data.csv", dataset_format="csv",

@@ -10,7 +10,7 @@ from robust_trees.errors import _interval, _probabilities, _whole
 
 
 class TestWhole:
-    @pytest.mark.parametrize("value", [3, np.int64(3), 10**30])
+    @pytest.mark.parametrize("value", [3, np.int64(3), 2**63 - 1])
     def test_an_integer_at_or_above_the_floor_passes(self, value):
         assert _whole("n", value, 3) is value
 
@@ -19,7 +19,9 @@ class TestWhole:
         (3.0, "n must be an integer, got float"),
         (True, "n must be an integer, got bool"),
         (None, "n must be an integer, got NoneType"),
-    ], ids=["below", "float", "bool", "none"])
+        (2**63, "n is out of range for int64, got 9223372036854775808"),
+        (10**30, "n is out of range for int64, got 1000000000000000000000000000000"),
+    ], ids=["below", "float", "bool", "none", "int64-end", "huge"])
     def test_anything_else_is_named(self, value, message):
         with pytest.raises(ValueError) as exc:
             _whole("n", value, 3)

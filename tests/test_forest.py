@@ -15,10 +15,10 @@ from robust_trees.forest import (
     fit_forest,
     forest_from_dict,
     forest_to_dict,
-    load_forest,
+    load_model,
     predict_forest,
     predict_forest_batch,
-    save_forest,
+    save_model,
 )
 from robust_trees.tree import TreeParams, fit, predict_batch, tree_from_dict, tree_to_dict
 from reference import SPECS, grow, grow_forest
@@ -147,11 +147,22 @@ class TestPredictForest:
         assert cls == 0
         assert np.array_equal(dist, [1.0, 0.0])
 
+    @pytest.mark.parametrize("n_trees, criterion, counts, message", [
+        (3, "gini", [[3, 2], [1, 4]], "forest params give n_trees 3, the model has 2 trees"),
+        (2, "gini", [[3, 2], [1, 2, 3]], "tree 1: K is 3, the forest's K is 2"),
+        (2, "entropy", [[3, 2], [1, 4]], "tree 0: criterion is gini, the forest's is entropy"),
+    ], ids=["tree-count", "class-count", "criterion"])
+    def test_a_hand_built_forest_is_checked(self, n_trees, criterion, counts, message):
+        # unchecked, the first saved a file that no loader read, and the second
+        # made predict_forest raise IndexError
+        params = ForestParams(TreeParams(CriterionSpec(criterion)), n_trees=n_trees)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Forest(params=params, n_classes=2, trees=[_leaf_tree(c) for c in counts])
+
     def test_empty_forest_rejected(self):
-        forest = Forest(params=ForestParams(TreeParams(CriterionSpec("gini"))),
-                        n_classes=2, trees=[])
-        with pytest.raises(ValueError):
-            predict_forest(forest, [0.0])
+        with pytest.raises(ValueError, match="^forest params give n_trees 100, the model has 0"
+                                             " trees$"):
+            Forest(params=ForestParams(TreeParams(CriterionSpec("gini"))), n_classes=2, trees=[])
 
     def test_short_vector_raises_value_error(self):
         X, y = _blobs(seed=31)
@@ -224,8 +235,8 @@ class TestForestSerialization:
             ForestParams(TreeParams(CriterionSpec("ne", lam=0.75)), n_trees=4, rng_seed=6),
         )
         path = tmp_path / "forest.json"
-        save_forest(forest, path)
-        loaded = load_forest(path)
+        save_model(forest, path)
+        loaded = load_model(path)
         assert json.dumps(forest_to_dict(loaded)) == json.dumps(forest_to_dict(forest))
         a = predict_forest_batch(forest, X)[1]
         b = predict_forest_batch(loaded, X)[1]

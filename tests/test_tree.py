@@ -9,7 +9,7 @@ import pytest
 from robust_trees.criteria import ClassHistogram, CriterionSpec, impurity
 from robust_trees.dataeng import Dataset
 from robust_trees.errors import _labels
-from robust_trees.forest import forest_from_dict
+from robust_trees.forest import forest_from_dict, load_model, save_model
 from robust_trees.noise import corrupt, uniform_matrix
 from robust_trees.oracle import exhaustive_early_stop_check
 from robust_trees.tree import (
@@ -19,12 +19,12 @@ from robust_trees.tree import (
     load_tree,
     predict,
     predict_batch,
-    save_tree,
     tree_from_dict,
     tree_stats,
     tree_to_dict,
 )
 from reference import grow
+from test_criteria import traced_peak
 
 SEPARABLE_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 SEPARABLE_Y = np.array([0, 0, 1, 1])
@@ -99,7 +99,7 @@ class TestFit:
         tree = fit(X, y, TreeParams(spec, max_depth=2))
         assert (tree.counts[tree.feature < 0].sum(axis=1) > 0).all()
         assert tree_stats(tree)["node_count"] == 3 and tree.threshold[0] == lo
-        save_tree(tree, tmp_path / "tree.json")
+        save_model(tree, tmp_path / "tree.json")
         assert (predict_batch(load_tree(tmp_path / "tree.json"), X)[0] == y).all()
         assert exhaustive_early_stop_check(X, y, spec).witness == (0, lo)
 
@@ -265,9 +265,10 @@ class TestSerialization:
         y = (np.sin(X[:, 0]) + X[:, 2] > 0.3).astype(np.int64)
         tree = fit(X, y, TreeParams(CriterionSpec("gce", q=0.5)))
         path = tmp_path / "model.json"
-        save_tree(tree, path)
-        loaded = load_tree(path)
+        save_model(tree, path)
+        loaded = load_model(path)
         assert json.dumps(tree_to_dict(loaded)) == json.dumps(tree_to_dict(tree))
+        assert json.dumps(tree_to_dict(load_tree(path))) == json.dumps(tree_to_dict(tree))
         cls_a, dist_a = predict_batch(tree, X)
         cls_b, dist_b = predict_batch(loaded, X)
         assert (cls_a == cls_b).all()
@@ -355,6 +356,43 @@ class TestLoadValidation:
         del data["K"]
         with pytest.raises(ValueError, match="missing key 'K'"):
             tree_from_dict(data)
+
+
+class TestConstruction:
+    """A hand-built tree is checked by the rules a loaded one is."""
+
+    @pytest.mark.parametrize("feature, threshold, left, right, counts, message", [
+        # the root as its own left child: a walk from it would never end
+        ([0, -1], [0.5, 0.0], [0, -1], [1, -1], [[0, 0], [1, 1]], "node 0: a split needs"),
+        ([0, -1, -1], [np.inf, 0, 0], [1, -1, -1], [2, -1, -1], [[0, 0], [1, 0], [0, 1]],
+         "node 0: a split needs"),
+        ([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [3, -1, -1], [[0, 0], [1, 0], [0, 1]],
+         "node 0: a split needs"),
+        ([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [1, -1, -1], [[0, 0], [1, 0], [0, 1]],
+         "node 1: the child of 2 splits"),
+        ([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [[0, 0], [-1, 2], [0, 1]],
+         "node 1: leaf counts must be nonnegative with a positive total"),
+        ([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [[0, 0], [1, 0], [0, 0]],
+         "node 2: leaf counts must be nonnegative with a positive total"),
+    ], ids=["self-loop", "infinite-threshold", "child-past-the-end", "same-children",
+            "negative-count", "empty-leaf"])
+    def test_a_malformed_tree_is_rejected(self, feature, threshold, left, right, counts,
+                                          message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Tree(CriterionSpec("gini"), 2, feature, threshold, left, right, counts)
+
+    def test_a_node_list_too_long_for_its_leaves_allocates_no_node_counts(self):
+        # 2,000 splits need 2,001 leaves; with one, the 2,001 x 1,000 counts would take 16 MB
+        data = {"criterion": {"kind": "gini"}, "K": 1000, "nodes": [
+            *({"kind": "split", "feature": 0, "threshold": 0.5, "left": i + 1, "right": i + 2}
+              for i in range(2000)),
+            {"kind": "leaf", "counts": [1] * 1000}]}
+
+        def load():
+            with pytest.raises(ValueError, match="^node 1999: a split needs"):
+                tree_from_dict(data)
+
+        assert traced_peak(load) < 2**21
 
 
 def _leaf_counts_by_node(tree: Tree):
