@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import chain
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +69,13 @@ class DataFormatError(ValueError):
     """Malformed input file; the message carries the offending line number."""
 
 
-def _index_labels(raw_labels: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    mapping: dict[str, int] = {}
-    out = np.empty(len(raw_labels), dtype=np.int64)
-    for i, name in enumerate(raw_labels):
-        if name not in mapping:
-            mapping[name] = len(mapping)
-        out[i] = mapping[name]
-    return out, tuple(mapping)
+def _named(features, names: list[str]) -> Dataset:
+    """The dataset of ``features`` whose row r has the class named ``names[r]``,
+    the classes numbered by first appearance: the one place classes are numbered."""
+    index: dict[str, int] = {}
+    labels = np.fromiter((index.setdefault(name, len(index)) for name in names),
+                         dtype=np.int64, count=len(names))
+    return Dataset(features, labels, tuple(index))
 
 
 def load_csv(path, label_column="label", header: bool = True) -> Dataset:
@@ -85,9 +85,14 @@ def load_csv(path, label_column="label", header: bool = True) -> Dataset:
     0-based column index otherwise (an integer is accepted either way).
     All non-label columns are parsed as float features.
     """
-    features, raw_labels = _parse_csv(path, label_column, header)
-    labels, class_names = _index_labels(raw_labels)
-    return Dataset(features, labels, class_names)
+    return _named(*_parse_csv(path, _label_column(label_column), header))
+
+
+def _label_column(value):
+    """``value`` if it can name a label column, a string or an integer, else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (str, Integral)):
+        raise ValueError(f"label_column must be a string or an integer, got {type(value).__name__}")
+    return value
 
 
 def load_csv_features(path, header: bool = True) -> np.ndarray:
@@ -125,7 +130,7 @@ def _parse_rows(path, reader, label_column, header: bool) -> tuple[np.ndarray, l
         raise DataFormatError(f"{path}: empty file")
     offset = 1 if header else 0
     label_idx = label_column
-    if label_column is not None and not isinstance(label_column, int):
+    if label_column is not None and not isinstance(label_column, Integral):
         if header:
             try:
                 label_idx = top.index(str(label_column))
@@ -143,7 +148,7 @@ def _parse_rows(path, reader, label_column, header: bool) -> tuple[np.ndarray, l
     first = next(reader, None) if header else top
     if first is None:
         raise DataFormatError(f"{path}: no data rows")
-    width = len(first)
+    width = len(top)  # every row is as wide as the header
     if label_idx is not None:
         if not (-width <= label_idx < width):
             raise DataFormatError(f"{path}: label column {label_idx} out of range")
@@ -260,8 +265,7 @@ def load_libsvm(path, n_features: int = 0) -> Dataset:
     features = _zeros(len(lengths), max(max_index, n_features), path)
     rows = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
     features[rows, np.frombuffer(cols, dtype=np.int64) - 1] = np.frombuffer(vals, dtype=np.float64)
-    labels, class_names = _index_labels(raw_labels)
-    return Dataset(features, labels, class_names)
+    return _named(features, raw_labels)
 
 
 def load_dataset(path, fmt: str, label_column="label", header: bool = True,
@@ -281,9 +285,7 @@ def apply_label_map(dataset: Dataset, mapping: dict) -> Dataset:
     appearance in row order.
     """
     source = [mapping.get(name, name) for name in dataset.class_names]
-    mapped_names = [source[c] for c in dataset.labels]
-    labels, class_names = _index_labels(mapped_names)
-    return Dataset(dataset.features, labels, class_names)
+    return _named(dataset.features, [source[c] for c in dataset.labels])
 
 
 def train_test_split(dataset: Dataset, train_fraction: float, seed) -> tuple[Dataset, Dataset]:
@@ -304,16 +306,16 @@ def train_test_split(dataset: Dataset, train_fraction: float, seed) -> tuple[Dat
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Tree-versus-forest choice plus shared hyperparameters, each checked
-    on construction by the rules of :class:`TreeParams` and
-    :class:`ForestParams` (a tree's ``n_trees`` and ``bootstrap`` too)."""
+    """Tree-versus-forest choice plus shared hyperparameters, each with the
+    default of :class:`TreeParams` or :class:`ForestParams` and checked on
+    construction by its rules (a tree's ``n_trees`` and ``bootstrap`` too)."""
 
     kind: str = "tree"
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    n_trees: int = 100
-    bootstrap: bool = True
-    feature_subsample: int | None = None
+    max_depth: int | None = TreeParams.max_depth
+    min_samples_leaf: int = TreeParams.min_samples_leaf
+    n_trees: int = ForestParams.n_trees
+    bootstrap: bool = ForestParams.bootstrap
+    feature_subsample: int | None = TreeParams.feature_subsample
 
     def __post_init__(self):
         if self.kind not in ("tree", "forest"):
@@ -393,28 +395,20 @@ def tune_lambda(
     return best_lam, scores
 
 
-@dataclass(frozen=True)
-class CriterionSetting:
-    """A criterion column of the experiment grid; no ``spec`` (``ane``) means
-    NE with lambda tuned per replication."""
-
-    name: str
-    spec: CriterionSpec | None = None
-
-    @staticmethod
-    def from_dict(d: dict) -> "CriterionSetting":
-        if _check_type("criterion", d, dict).get("kind") == _TUNED:
-            _read("criterion", d, ("kind",))  # lambda is tuned, never given
-            return CriterionSetting(name=_TUNED)
-        spec = CriterionSpec.from_dict(d)
-        return CriterionSetting(name=spec.kind, spec=spec)
+def _grid_criterion(d: dict) -> CriterionSpec | None:
+    """A criterion column of the experiment grid: its spec, or None for
+    ``{"kind": "ane"}``, NE with lambda tuned per replication."""
+    if _check_type("criterion", d, dict).get("kind") == _TUNED:
+        _read("criterion", d, ("kind",))  # lambda is tuned, never given
+        return None
+    return CriterionSpec.from_dict(d)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset_path: str
     dataset_format: str
-    criteria: tuple[CriterionSetting, ...]
+    criteria: tuple[CriterionSpec | None, ...]  # None: NE with lambda tuned (ane)
     noise: tuple[NoiseSpec, ...]
     model: ModelConfig = ModelConfig()
     label_column: str | int = "label"
@@ -430,6 +424,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_type("header", self.header, bool)
+        _label_column(self.label_column)
         _interval("train_fraction", self.train_fraction, 0.0, 1.0, "()")
         for name in ("split_seed", "seed"):
             _whole(name, getattr(self, name), 0)
@@ -458,7 +453,7 @@ class ExperimentConfig:
         if config.get("label_map") is not None:
             for name in _check_type("label_map", config["label_map"], dict).values():
                 _check_type("label_map value", name, str)
-        config["criteria"] = tuple(CriterionSetting.from_dict(c)
+        config["criteria"] = tuple(_grid_criterion(c)
                                    for c in _check_type("criteria", config["criteria"], list))
         config["noise"] = tuple(NoiseSpec.from_dict(nz)
                                 for nz in _check_type("noise", config["noise"], list))
@@ -596,12 +591,13 @@ def _run_cell(grid: _Grid, task: tuple) -> ResultRecord:
     ``RuntimeError`` that names the cell."""
     config, train = grid.config, grid.train
     ci, ni, rep = task
-    setting = config.criteria[ci]
+    spec = config.criteria[ci]
+    name = _TUNED if spec is None else spec.kind
     try:
         corrupt_seed = np.random.SeedSequence((config.seed, ni, rep))
         noisy = corrupt(train.labels, grid.transitions[ni], corrupt_seed)
         started = time.perf_counter()
-        if setting.spec is None:
+        if spec is None:
             noisy_train = Dataset(train.features, noisy, train.class_names)
             best_lam, _ = tune_lambda(
                 noisy_train, config.tuning_grid, config.model,
@@ -609,8 +605,6 @@ def _run_cell(grid: _Grid, task: tuple) -> ResultRecord:
                 config.validation_fraction,
             )
             spec = CriterionSpec("ne", lam=best_lam)
-        else:
-            spec = setting.spec
         fitted = _fit_model(config.model, spec, train.features, noisy, train.n_classes,
                             _seed_int(config.seed, ni, rep, ci, 1))
         acc = accuracy_score(fitted, grid.test.features, grid.test.labels)
@@ -619,12 +613,12 @@ def _run_cell(grid: _Grid, task: tuple) -> ResultRecord:
     except Exception as exc:
         error = ValueError if isinstance(exc, ValueError) else RuntimeError
         raise error(
-            f"evaluation failed at criterion={setting.name} "
+            f"evaluation failed at criterion={name} "
             f"noise={config.noise[ni].label()} replication={rep}: {exc}"
         ) from exc
     return ResultRecord(
         dataset=grid.name,
-        criterion=setting.name,
+        criterion=name,
         params=spec.params_label(),
         noise=config.noise[ni].label(),
         seed=_seed_int(config.seed, ni, rep),

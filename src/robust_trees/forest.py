@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -124,11 +124,11 @@ def forest_stats(forest: Forest) -> dict:
 
 
 # the keys of a forest model and of its params, in the order forest_to_dict
-# writes them; a param is a field of ForestParams if it has one, else of TreeParams
+# writes them: the fields of ForestParams but tree_params, then those of
+# TreeParams that ForestParams lacks (the trees draw from the forest's rng_seed)
 _FOREST_KEYS = ("params", "K", "trees")
-_PARAMS_KEYS = ("n_trees", "bootstrap", "rng_seed", "criterion", "max_depth",
-                "min_samples_leaf", "feature_subsample")
-_OWN_PARAMS = ForestParams.__dataclass_fields__
+_OWN_PARAMS = tuple(f.name for f in fields(ForestParams) if f.name != "tree_params")
+_PARAMS_KEYS = _OWN_PARAMS + tuple(f.name for f in fields(TreeParams) if f.name not in _OWN_PARAMS)
 
 
 def forest_to_dict(forest: Forest) -> dict:

@@ -188,6 +188,8 @@ def mahalanobis_matrix(features, labels, ridge: float | None = None) -> Transiti
     """
     _interval("ridge", ridge, 0.0, brackets="[)", optional=True)
     X, y = _labelled(features, labels)
+    if X.shape[1] == 0:
+        raise ValueError("mahalanobis noise needs at least one feature column")
     k = int(y.max()) + 1
     if k < 3:
         raise ValueError("mahalanobis noise needs at least 3 classes")

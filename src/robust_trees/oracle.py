@@ -131,28 +131,40 @@ def brute_force_impurity(
     binary histograms only.  ``dataset_size`` defaults to the node size
     (weight 1).
     """
-    if loss not in ORACLE_LOSSES:
-        raise ValueError(f"unknown oracle loss {loss!r}")
+    search = _lattice_search(loss, hist, grid, q)
     total = hist.total
-    if total == 0:
-        raise EmptyHistogramError("cannot minimize the risk of an empty node")
-    if dataset_size is None:
-        dataset_size = total
-    weight = total / _whole("dataset_size", dataset_size, total)
-    if loss == "ne":
+    weight = total / _whole("dataset_size", total if dataset_size is None else dataset_size, total)
+    if search is None:
         _interval("mu", mu, 0.0, brackets="[)")
         if hist.n_classes != 2:
             raise ValueError("the ne margin loss is defined for binary problems")
         p = hist.probabilities()
         return weight * _ne_minimum(p[0], p[1], mu, grid)
+    _, p_sorted, start, risk = search
+    refined = _pattern_descent(loss, p_sorted, start, grid.simplex_step, q)
+    return weight * min(risk, refined)
+
+
+def _lattice_search(loss: str, hist: ClassHistogram, grid: GridSpec, q: float | None):
+    """The checks of a brute-force minimization (a known loss, a nonempty
+    node, gce's ``q``), then for a loss other than ne the search of the
+    sorted lattice: the order sorting p descending (stable), p in that
+    order, the best lattice point and its risk.  None for ne, whose
+    prediction is a real score."""
+    if loss not in ORACLE_LOSSES:
+        raise ValueError(f"unknown oracle loss {loss!r}")
+    if hist.total == 0:
+        raise EmptyHistogramError("cannot minimize the risk of an empty node")
+    if loss == "ne":
+        return None
     if loss == "gce" and q is None:
         raise ValueError("gce loss requires q")
-    p_sorted = np.sort(hist.probabilities())[::-1]
+    p = hist.probabilities()
+    order = np.argsort(-p, kind="stable")
     lattice = _sorted_simplex_grid(hist.n_classes, round(1.0 / grid.simplex_step))
-    risks = _simplex_risks(loss, p_sorted, lattice, q)
-    start = lattice[int(np.argmin(risks))]
-    refined = _pattern_descent(loss, p_sorted, start, grid.simplex_step, q)
-    return weight * min(float(np.min(risks)), refined)
+    risks = _simplex_risks(loss, p[order], lattice, q)
+    best = int(np.argmin(risks))
+    return order, p[order], lattice[best], float(risks[best])
 
 
 def _pattern_descent(
@@ -205,14 +217,7 @@ def brute_force_minimizer(
     """
     if loss == "ne":
         raise ValueError("the ne minimizer is a real score, not a probability vector")
-    total = hist.total
-    if total == 0:
-        raise EmptyHistogramError("cannot minimize the risk of an empty node")
-    p = hist.probabilities()
-    order = np.argsort(-p, kind="stable")
-    lattice = _sorted_simplex_grid(hist.n_classes, round(1.0 / grid.simplex_step))
-    risks = _simplex_risks(loss, p[order], lattice, q)
-    best = lattice[int(np.argmin(risks))]
+    order, _, best, _ = _lattice_search(loss, hist, grid, q)
     out = np.empty_like(best)
     out[order] = best
     return out

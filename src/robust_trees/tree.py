@@ -95,10 +95,11 @@ class TreeParams:
 @dataclass(eq=False)
 class Tree:
     """A fitted tree as parallel arrays over its nodes, in depth-first preorder, checked on
-    construction: a split's threshold is finite and its children follow it below the node
-    count, every other node is the child of one split, and leaf counts are nonnegative with a
-    positive total.  ``distribution``, ``predicted_class``, ``min_columns`` and the one-row
-    walk are then derived, and never serialized."""
+    construction: first their shapes (K >= 2; feature, threshold, left and right 1-D of one
+    length n >= 1; counts n x K), then that a split's threshold is finite and its children
+    follow it below the node count, every other node is the child of one split, and leaf
+    counts are nonnegative with a positive total.  ``distribution``, ``predicted_class``,
+    ``min_columns`` and the one-row walk are then derived, and never serialized."""
 
     criterion: CriterionSpec
     n_classes: int
@@ -117,7 +118,14 @@ class Tree:
             np.asarray(a, dtype=np.int64)
             for a in (self.feature, self.left, self.right, self.counts))
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        leaf, n = self.feature < 0, self.feature.size
+        k, n = _class_count(self.n_classes, "n_classes"), self.feature.size
+        shapes = [a.shape for a in (self.feature, self.threshold, self.left, self.right,
+                                    self.counts)]
+        if n < 1 or shapes != [(n,)] * 4 + [(n, k)]:
+            raise ValueError(f"a tree needs feature, threshold, left and right of one shape (n,)"
+                             f" with n >= 1 and counts of shape (n, {k}); got shapes"
+                             f" {', '.join(map(str, shapes[:4]))} and {shapes[4]}")
+        leaf = self.feature < 0
         at = np.flatnonzero(~leaf)
         left, right = self.left[at], self.right[at]
         bad = at[~np.isfinite(self.threshold[at]) | (np.minimum(left, right) <= at)
@@ -334,13 +342,14 @@ def _best_splits(
 
 
 def _fit_inputs(features, labels, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """A fit's checked inputs: finite float64 features, int64 labels and the
-    class count K, ``n_classes`` if given, else max(2, max(labels) + 1)."""
+    """A fit's checked inputs: finite float64 features of at least one row
+    and one column, int64 labels and the class count K, ``n_classes`` if
+    given, else max(2, max(labels) + 1)."""
     k = None if n_classes is None else _class_count(int(n_classes), "n_classes")
     X, y = _labelled(features, labels, k, "n_classes")
     X = np.ascontiguousarray(X)
-    if X.shape[0] == 0:
-        raise ValueError("features must be nonempty")
+    if 0 in X.shape:
+        raise ValueError(f"features must be nonempty, n x d with d >= 1, got shape {X.shape}")
     return X, y, max(2, int(y.max()) + 1) if k is None else k
 
 

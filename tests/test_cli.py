@@ -187,6 +187,16 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {data}:3: {message}\n"
 
+    def test_no_labels_on_libsvm_exits_2(self, model, tmp_path, capsys):
+        data = tmp_path / "data.libsvm"
+        data.write_text("0 1:0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--model", str(model), "--data", str(data),
+                  "--format", "libsvm", "--no-labels"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: --no-labels applies to csv input only\n")
+
     def test_too_few_columns_exits_1(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"criterion": {"kind": "gini"}, "K": 2, "nodes": [
@@ -520,6 +530,38 @@ class TestNoiseCommand:
         assert P.shape == (3, 3) and np.allclose(P.sum(axis=1), 1.0)
         assert 0.0 < status["flip_fraction"] < 1.0
         assert len(noisy.read_text().strip().split("\n")) == 121
+
+
+class TestNoFeatureColumn:
+    """A CSV whose only column is the label: a fit and Mahalanobis noise need a feature."""
+
+    @pytest.fixture()
+    def labels_csv(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "x\ny\nz\n" * 3)
+        return path
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--criterion", "gini"], "features must be nonempty, n x d with d >= 1,"
+                                           " got shape (9, 0)"),
+        (["train", "--criterion", "gini", "--forest"], "features must be nonempty, n x d with"
+                                                       " d >= 1, got shape (9, 0)"),
+        (["noise", "--kind", "mahalanobis"], "mahalanobis noise needs at least one feature"
+                                             " column"),
+    ], ids=["tree", "forest", "mahalanobis"])
+    def test_exits_1_in_one_line(self, labels_csv, tmp_path, capsys, argv, message):
+        out = ["--out", str(tmp_path / "m.json")] if argv[0] == "train" else []
+        code = main([*argv, "--data", str(labels_csv), "--format", "csv", *out])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_uniform_noise_needs_no_feature(self, labels_csv, tmp_path, capsys):
+        noisy = tmp_path / "noisy.csv"
+        code, status = run_cli(capsys, "noise", "--data", str(labels_csv), "--format", "csv",
+                               "--kind", "uniform", "--eta", "0.3", "--out", str(noisy))
+        assert code == 0 and status["kind"] == "uniform"
+        assert noisy.read_text().split("\n")[0] == "label"
 
 
 class TestTune:

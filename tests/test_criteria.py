@@ -581,3 +581,18 @@ class TestBlocks:
         left = class_major(split_lefts(rng, parent[None, :], np.zeros(48_000, dtype=np.intp)))
         split_scores(spec, parent, left, 6000)
         assert traced_peak(lambda: split_scores(spec, parent, left, 6000)) < 1.5e6
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CdfSpec("cauchy"), "unknown cdf kind: 'cauchy'"),
+    (lambda: CdfSpec("logistic", mu=1.0), "cdf 'logistic' takes no mu parameter"),
+    (lambda: ClassHistogram([[1, 2], [3, 4]]), "histogram needs a 1-D count vector"),
+    (lambda: ClassHistogram([1, -2]), "class counts must be nonnegative"),
+    (lambda: risk_reduction(CriterionSpec("twoing"), hist(2, 2), hist(1, 1), hist(1, 1), 4),
+     "twoing defines a split score, not a risk reduction"),
+    (lambda: CriterionSpec("gini").conservative_constant(), "gini is not a conservative criterion"),
+], ids=["cdf-kind", "cdf-mu", "2-d-histogram", "negative-count", "twoing-risk-reduction",
+        "gini-constant"])
+def test_one_line_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()

@@ -13,7 +13,6 @@ import pytest
 from robust_trees import dataeng
 from robust_trees.criteria import CriterionSpec
 from robust_trees.dataeng import (
-    CriterionSetting,
     DataFormatError,
     Dataset,
     ExperimentConfig,
@@ -35,6 +34,10 @@ from robust_trees.noise import NoiseSpec
 from robust_trees.tree import TreeParams
 from synth import gaussian_blobs, separable_categorical, write_csv, write_libsvm
 from test_criteria import traced_peak
+
+
+_CONFIG = {"dataset": {"path": "x.csv", "format": "csv"}, "criteria": [{"kind": "gini"}],
+           "noise": [{"kind": "uniform", "eta": 0.1}]}
 
 
 class TestLoadCsv:
@@ -63,6 +66,30 @@ class TestLoadCsv:
         path.write_text("")
         with pytest.raises(DataFormatError, match="empty"):
             load_csv(path)
+
+    @pytest.mark.parametrize("header, width", [("f0,label", 2), ("f0,f1,f2,label", 4)],
+                             ids=["narrower", "wider"])
+    def test_a_header_as_wide_as_no_row_is_named(self, tmp_path, header, width):
+        # measured by the first data row instead, a narrower header would read its
+        # label from the wrong column
+        path = tmp_path / "header.csv"
+        path.write_text(f"{header}\n1,2,x\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}:2: expected {width} columns, found 3"
+
+    @pytest.mark.parametrize("column, name", [(True, "bool"), (None, "NoneType"), (1.0, "float")])
+    def test_a_label_column_is_a_name_or_an_index(self, tmp_path, column, name):
+        # true would read as column 1, and None as a file without labels
+        path = tmp_path / "toy.csv"
+        path.write_text("a,b,label\n0,1,x\n1,0,y\n")
+        message = f"^label_column must be a string or an integer, got {name}$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, column)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**_CONFIG, "dataset": {"path": str(path), "format": "csv",
+                                                               "label_column": column}})
+        assert load_csv(path, np.int64(2)).class_names == ("x", "y")
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -385,7 +412,7 @@ class TestEvaluate:
         path = _write_blob_csv(tmp_path)
         config = ExperimentConfig(
             dataset_path=str(path), dataset_format="csv",
-            criteria=(CriterionSetting.from_dict({"kind": "gini"}),),
+            criteria=(CriterionSpec("gini"),),
             noise=(NoiseSpec("uniform", eta=0.0),),
             replications=1, seed=3,
         )
@@ -400,8 +427,8 @@ class TestEvaluate:
         path = _write_blob_csv(tmp_path)
         config = ExperimentConfig(
             dataset_path=str(path), dataset_format="csv",
-            criteria=(CriterionSetting.from_dict({"kind": "entropy"}),
-                      CriterionSetting.from_dict({"kind": "misclassification"})),
+            criteria=(CriterionSpec("entropy"),
+                      CriterionSpec("misclassification")),
             noise=(NoiseSpec("uniform", eta=0.0), NoiseSpec("uniform", eta=0.4)),
             replications=3, seed=1,
         )
@@ -419,7 +446,7 @@ class TestEvaluate:
         write_csv(path, X, y)
         config = ExperimentConfig(
             dataset_path=str(path), dataset_format="csv",
-            criteria=(CriterionSetting.from_dict({"kind": "misclassification"}),),
+            criteria=(CriterionSpec("misclassification"),),
             noise=(NoiseSpec("uniform", eta=0.4),),
             replications=1, seed=2,
         )
@@ -429,8 +456,7 @@ class TestEvaluate:
         path = _write_blob_csv(tmp_path, n_per=80)
         config = ExperimentConfig(
             dataset_path=str(path), dataset_format="csv",
-            criteria=(CriterionSetting.from_dict({"kind": "ane"}),
-                      CriterionSetting.from_dict({"kind": "entropy"})),
+            criteria=(None, CriterionSpec("entropy")),  # None: ane, lambda tuned
             noise=(NoiseSpec("uniform", eta=0.3),),
             replications=2, seed=9,
         )
@@ -476,7 +502,7 @@ class TestEvaluate:
         path = _write_blob_csv(tmp_path, n_per=60)
         config = ExperimentConfig(
             dataset_path=str(path), dataset_format="csv",
-            criteria=(CriterionSetting.from_dict({"kind": "ane"}),),
+            criteria=(None,),  # ane, lambda tuned
             noise=(NoiseSpec("uniform", eta=0.2),),
             replications=1, seed=5,
         )
@@ -519,7 +545,7 @@ class TestExperimentConfig:
     def test_header_must_be_true_or_false(self):
         with pytest.raises(ValueError, match="header must be true or false, got str"):
             ExperimentConfig(dataset_path="data.csv", dataset_format="csv",
-                             criteria=(CriterionSetting.from_dict({"kind": "gini"}),),
+                             criteria=(CriterionSpec("gini"),),
                              noise=(NoiseSpec("uniform"),), header="no")
 
 
@@ -566,3 +592,24 @@ class TestResultsCsv:
         assert lines[0] == "dataset,criterion,params,noise,seed,accuracy,nodes,leaves,depth,seconds"
         assert lines[1].endswith(",0.000")
         assert ",0.875," in lines[1]
+
+
+@pytest.mark.parametrize("text, load, message", [
+    ("a,label\n", lambda path: load_csv(path), "{path}: no data rows"),
+    ("0,x\n1,y\n", lambda path: load_csv(path, 5, header=False),
+     "{path}: label column 5 out of range"),
+    ("0,x\n1,y\n", lambda path: load_csv(path, "label", header=False),
+     "{path}: without a header, label_column must be an integer index"),
+    ("1 1:nan\n0 1:2\n", lambda path: load_libsvm(path), "{path}:1: non-finite value '1:nan'"),
+    ("", lambda path: ExperimentConfig.from_dict({**_CONFIG, "criteria": []}),
+     "need at least one criterion and one noise setting"),
+    ("", lambda path: ExperimentConfig.from_dict({**_CONFIG, "noise": []}),
+     "need at least one criterion and one noise setting"),
+], ids=["header-without-rows", "label-column-out-of-range", "headerless-named-label-column",
+        "non-finite-libsvm-value", "no-criteria", "no-noise"])
+def test_one_line_errors(tmp_path, text, load, message):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value) == message.format(path=path)

@@ -66,6 +66,12 @@ class TestFitForest:
         assert (cls_f == cls_t).all()
         assert np.array_equal(dist_f, dist_t)
 
+    def test_no_feature_column_is_rejected_before_the_subsample(self):
+        # without a column, ceil(sqrt(0)) = 0 features would be drawn per split
+        with pytest.raises(ValueError, match=r"^features must be nonempty, n x d with d >= 1"):
+            fit_forest(np.empty((4, 0)), [0, 1, 0, 1],
+                       ForestParams(TreeParams(CriterionSpec("gini"))))
+
     def test_separable_training_accuracy(self):
         X = np.arange(12, dtype=float)[:, None]
         y = (X[:, 0] >= 6).astype(np.int64)

@@ -168,6 +168,11 @@ class TestMahalanobisMatrix:
         with pytest.raises(ValueError, match="^features must be finite$"):
             mahalanobis_matrix(X, y)
 
+    def test_requires_a_feature_column(self):
+        # the automatic ridge divides by the feature count
+        with pytest.raises(ValueError, match="^mahalanobis noise needs at least one feature"):
+            mahalanobis_matrix(np.empty((6, 0)), [0, 0, 1, 1, 2, 2])
+
     def test_requires_two_samples_per_class(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [9.0, 9.0]])
         y = np.array([0, 0, 1, 1, 2])
@@ -293,3 +298,14 @@ class TestHoeffding:
         with pytest.raises(ValueError) as exc:  # no trial would average to nan
             majority_preservation_mc([0.7, 0.3], 0.1, n, trials)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NoiseSpec("mahalanobis").transition(3),
+     "mahalanobis noise needs the training features and labels"),
+    (lambda: TransitionMatrix(np.full((2, 3), 1 / 3)),
+     "transition matrix must be square with K >= 2"),
+], ids=["mahalanobis-without-features", "non-square-matrix"])
+def test_one_line_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()

@@ -12,6 +12,7 @@ from robust_trees.criteria import (
     mu_from_lambda,
     optimal_constant_prediction,
 )
+from robust_trees.errors import EmptyHistogramError
 from robust_trees.tree import TreeParams, fit
 from robust_trees.oracle import (
     GridSpec,
@@ -130,6 +131,16 @@ class TestMinimizerLocation:
         with pytest.raises(ValueError):
             brute_force_minimizer("ne", hist(1, 1))
 
+    @pytest.mark.parametrize("oracle", [brute_force_impurity, brute_force_minimizer])
+    @pytest.mark.parametrize("loss, counts, error, message", [
+        ("gce", (3, 1), ValueError, "gce loss requires q"),
+        ("hinge", (3, 1), ValueError, "unknown oracle loss 'hinge'"),
+        ("mse", (0, 0), EmptyHistogramError, "cannot minimize the risk of an empty node"),
+    ], ids=["gce-without-q", "unknown-loss", "empty-node"])
+    def test_both_oracles_check_their_inputs_alike(self, oracle, loss, counts, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            oracle(loss, hist(*counts))
+
 
 class TestEarlyStopOracle:
     def test_canonical_halting_instance(self):
@@ -178,6 +189,10 @@ class TestEarlyStopOracle:
                     continue
                 root = (int(tree.feature[0]), float(tree.threshold[0]))
                 assert root == report.witness, f"seed {seed}, instance {i}"
+
+    def test_no_feature_column_is_rejected_as_a_fit_rejects_it(self):
+        with pytest.raises(ValueError, match=r"^features must be nonempty, n x d with d >= 1"):
+            exhaustive_early_stop_check(np.empty((4, 0)), [0, 1, 0, 1], CriterionSpec("gini"))
 
     def test_refuses_large_instances(self):
         X = np.zeros((501, 1))

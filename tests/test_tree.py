@@ -125,6 +125,7 @@ class TestFit:
             (np.array([[np.nan], [1.0]]), np.array([0, 1]), "finite"),
             (np.array([[0.0], [1.0]]), np.array([0, 5]), "range"),
             (np.array([[0.0], [1.0]]), np.array([0, -1]), "nonnegative"),
+            (np.empty((3, 0)), np.array([0, 1, 0]), r"d >= 1, got shape \(3, 0\)"),
         ],
     )
     def test_input_validation(self, X, y, err):
@@ -381,6 +382,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{message}"):
             Tree(CriterionSpec("gini"), 2, feature, threshold, left, right, counts)
 
+    @pytest.mark.parametrize("k, threshold, counts, shapes", [
+        (2, [0.5, 0, 0], [[1, 0], [0, 1]], "(3,), (3,), (3,), (3,) and (2, 2)"),
+        (2, [0.5, 0, 0], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "(3,), (3,), (3,), (3,) and (3, 3)"),
+        (2, [0.5], [[0, 0], [1, 0], [0, 1]], "(3,), (1,), (3,), (3,) and (3, 2)"),
+        (2, [[0.5, 0, 0]], [[0, 0], [1, 0], [0, 1]], "(3,), (1, 3), (3,), (3,) and (3, 2)"),
+    ], ids=["two-count-rows", "counts-wider-than-k", "one-threshold", "2-d-threshold"])
+    def test_array_shapes_are_checked_before_the_node_rules(self, k, threshold, counts, shapes):
+        # a one-entry threshold for three nodes would make predict index past its
+        # end and tree_to_dict write a one-node model
+        with pytest.raises(ValueError) as exc:
+            Tree(CriterionSpec("gini"), k, [0, -1, -1], threshold, [1, -1, -1], [2, -1, -1],
+                 counts)
+        assert str(exc.value) == (f"a tree needs feature, threshold, left and right of one"
+                                  f" shape (n,) with n >= 1 and counts of shape (n, {k}); got"
+                                  f" shapes {shapes}")
+
+    def test_an_empty_tree_and_one_class_are_rejected(self):
+        with pytest.raises(ValueError, match=r"got shapes \(0,\), \(0,\), \(0,\), \(0,\) and"
+                                             r" \(0, 2\)$"):
+            Tree(CriterionSpec("gini"), 2, [], [], [], [], np.zeros((0, 2)))
+        with pytest.raises(ValueError, match=r"^n_classes must be >= 2, got 1$"):
+            Tree(CriterionSpec("gini"), 1, [-1], [0.0], [-1], [-1], [[1]])
+
     def test_a_node_list_too_long_for_its_leaves_allocates_no_node_counts(self):
         # 2,000 splits need 2,001 leaves; with one, the 2,001 x 1,000 counts would take 16 MB
         data = {"criterion": {"kind": "gini"}, "K": 1000, "nodes": [
@@ -487,3 +511,15 @@ class TestLabelRule:
         assert _labels(y, 2) is y
         assert Dataset(np.zeros((3, 1)), y, ("a", "b")).labels is y
         assert _labels(y.astype(np.int32)).dtype == np.int64
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tree_from_dict({"criterion": {"kind": "gini"}, "K": 2, "nodes": []}),
+     "tree model has no nodes"),
+    (lambda: fit(np.zeros((4, 2)), [0, 1, 0, 1],
+                 TreeParams(CriterionSpec("gini"), feature_subsample=3)),
+     "feature_subsample cannot exceed the feature count"),
+], ids=["no-nodes", "subsample-above-d"])
+def test_one_line_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
